@@ -36,6 +36,7 @@ from .paths import (
     ScalarPathEnsemble,
     TimeGrid,
     compact_containment_report,
+    dual_path_stats,
     modulus_dual,
     modulus_testfn,
     sup_dual_norm,

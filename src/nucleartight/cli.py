@@ -180,9 +180,16 @@ def materialize(command: str, cfg: dict) -> dict:
         raise ConfigError(f"field basis: {exc}") from exc
     if command != "basis-check":
         try:
-            _grid_from(merged)
+            grid = _grid_from(merged)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"field grid: {exc}") from exc
+        deltas = merged["tightness"].get("deltas")
+        if not isinstance(deltas, list) or not all(
+            isinstance(d, (int, float)) and 0.0 < d <= grid.horizon for d in deltas
+        ):
+            raise ConfigError(
+                f"field tightness.deltas: must be a list of time gaps in (0, T = {grid.horizon}]"
+            )
         for name in ("n_list", "times") if command != "tightness" else ("n_list",):
             value = merged.get(name)
             if not isinstance(value, list) or not value:

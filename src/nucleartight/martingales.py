@@ -46,13 +46,11 @@ from .hermite import (
     _hermite_modes_first,
 )
 from .paths import (
-    DualPath,
     ScalarPath,
     ScalarPathEnsemble,
     TimeGrid,
     containment_summary,
-    modulus_dual,
-    sup_dual_norm,
+    dual_path_stats,
 )
 from .rng import stream
 
@@ -472,9 +470,7 @@ def clt_report(
                 mn[a] = mn_path[t_idx]
                 qv[a] = qv_path[t_idx]
             states = _mn_dual_states(particles, basis)
-            dual = DualPath(grid, basis, states)
-            sup = sup_dual_norm(dual, tightness_index)
-            mods = [modulus_dual(dual, d, tightness_index) for d in deltas]
+            sup, mods = dual_path_stats(states, grid, deltas, tightness_index)
             full = states if collect_paths else None
             return mn, qv, sup, mods, full
 

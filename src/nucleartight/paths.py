@@ -6,11 +6,14 @@ node.  No interpolation is performed between nodes; suprema and moduli are
 taken over grid pairs, so refinement studies expose discretization error
 explicitly.
 
-The two modulus-of-continuity functionals and the running dual-norm supremum
-are the quantitative inputs for the compact-containment diagnostics: a family
-of paths is empirically tight when the sup-norm exceedance frequencies stay
+The running dual-norm supremum and the dual modulus of continuity are the
+quantitative inputs for the compact-containment diagnostics: a family of
+paths is empirically tight when the sup-norm exceedance frequencies stay
 small at a fixed level and the modulus quantiles decay as the time gap
-shrinks.
+shrinks.  :func:`dual_path_stats` computes both in one pass over a batch of
+paths: it weights the states once, walks the grid lags once up to the
+largest lag any requested gap allows, and answers every gap from a running
+maximum over lags.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "modulus_dual",
     "modulus_scalar",
     "sup_dual_norm",
+    "dual_path_stats",
     "compact_containment_report",
     "containment_summary",
     "write_scalar_paths_csv",
@@ -192,29 +196,54 @@ def modulus_testfn(x: DualPath, delta: float, phi: TestFunction) -> float:
     return modulus_scalar(x.project(phi).values, x.grid, delta)
 
 
+def dual_path_stats(states, grid: TimeGrid, deltas, r):
+    """Running sup and modulus of continuity in the dual norm of rung ``r``.
+
+    ``states`` has shape ``(..., J+1, N)``: any batch of dual paths on
+    ``grid``.  Returns ``(sup, modulus)`` with shapes ``(...)`` and
+    ``(..., len(deltas))``: ``sup`` is ``max_j p'_r(x(t_j))`` and
+    ``modulus[..., i]`` the maximum of ``p'_r(x(t_a) - x(t_b))`` over grid
+    pairs with ``|t_a - t_b| <= deltas[i]``.
+
+    Squared norms are reduced row by row exactly as a per-lag, per-delta
+    loop would, and the square root is monotone, so the values are
+    bit-identical to such a loop.
+    """
+    s = np.asarray(states, dtype=float)
+    if s.ndim < 2 or s.shape[-2] != grid.steps + 1:
+        raise ValueError("states must have shape (..., J+1, N)")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("path states must be finite")
+    lags = [_max_lag(grid, float(d)) for d in deltas]
+    rv = r if isinstance(r, SeminormIndex) else SeminormIndex(float(r))
+    s = s * rv.dual_weights(s.shape[-1])
+    sup = np.sqrt((s * s).sum(axis=-1).max(axis=-1))
+    top = max(lags, default=0)
+    # best[..., lag]: largest squared increment over exactly ``lag`` steps,
+    # and over at most ``lag`` steps once the running maximum is taken
+    best = np.zeros(s.shape[:-2] + (top + 1,))
+    buf = np.empty(s.shape[:-2] + (grid.steps if top else 0, s.shape[-1]))
+    for lag in range(1, top + 1):
+        d = buf[..., : grid.steps + 1 - lag, :]
+        np.subtract(s[..., lag:, :], s[..., :-lag, :], out=d)
+        np.multiply(d, d, out=d)
+        best[..., lag] = d.sum(axis=-1).max(axis=-1)
+    np.maximum.accumulate(best, axis=-1, out=best)
+    return sup, np.sqrt(best[..., lags])
+
+
 def modulus_dual(x: DualPath, delta: float, r) -> float:
     """Modulus of continuity in the dual norm of rung ``r``.
 
     Maximum of ``p'_r(x(t_i) - x(t_j))`` over grid pairs with
     ``|t_i - t_j| <= delta``.
     """
-    rv = r if isinstance(r, SeminormIndex) else SeminormIndex(float(r))
-    w = rv.dual_weights(x.basis.size)
-    s = x.states * w
-    lag_max = _max_lag(x.grid, delta)
-    best = 0.0
-    for lag in range(1, lag_max + 1):
-        diff = s[lag:] - s[:-lag]
-        best = max(best, float(np.sqrt(np.max(np.sum(diff * diff, axis=-1)))))
-    return best
+    return float(dual_path_stats(x.states, x.grid, [delta], r)[1][0])
 
 
 def sup_dual_norm(x: DualPath, r) -> float:
     """Running supremum ``max_j p'_r(x(t_j))`` over the grid."""
-    rv = r if isinstance(r, SeminormIndex) else SeminormIndex(float(r))
-    w = rv.dual_weights(x.basis.size)
-    s = x.states * w
-    return float(np.sqrt(np.max(np.sum(s * s, axis=-1))))
+    return float(dual_path_stats(x.states, x.grid, [], r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +304,7 @@ def compact_containment_report(
     """
     if len(ensemble) == 0:
         raise ValueError("empty ensemble")
-    sups = np.array([sup_dual_norm(ensemble.path(i), r) for i in range(len(ensemble))])
-    table = np.array(
-        [
-            [modulus_dual(ensemble.path(i), d, r) for d in delta_grid]
-            for i in range(len(ensemble))
-        ]
-    )
+    sups, table = dual_path_stats(ensemble.states, ensemble.grid, delta_grid, r)
     return containment_summary(sups, table, c_levels, delta_grid, quantiles)
 
 

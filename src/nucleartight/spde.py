@@ -28,6 +28,7 @@ from . import diagnostics
 from .hermite import (
     BasisSpec,
     DualElement,
+    SeminormIndex,
     TestFunction,
     derivative_op,
     heat_matrix,
@@ -47,8 +48,7 @@ from .paths import (
     DualPath,
     TimeGrid,
     containment_summary,
-    modulus_dual,
-    sup_dual_norm,
+    dual_path_stats,
 )
 from .rng import stream
 
@@ -246,12 +246,10 @@ def _limit_driver_chunk(
     return states
 
 
-def _path_stats(states, grid, basis, cell_vectors, r_index, deltas):
+def _path_stats(states, grid, cell_vectors, r_index, deltas):
     """Cell values, sup dual norm and modulus row for one solution path."""
     cells = np.array([states[j] @ c for c, j in cell_vectors])
-    dual = DualPath(grid, basis, states)
-    sup = sup_dual_norm(dual, r_index)
-    mods = [modulus_dual(dual, d, r_index) for d in deltas]
+    sup, mods = dual_path_stats(states, grid, deltas, r_index)
     return cells, sup, mods
 
 
@@ -336,7 +334,7 @@ def heat_convergence_report(
             sols = _mild_states(drivers, etas, e_dt, main, off, grid.dt)
             for c, i in enumerate(idx):
                 all_cells[i], sups[i], mods[i] = _path_stats(
-                    sols[c], grid, basis, cell_vectors, tightness_index, deltas
+                    sols[c], grid, cell_vectors, tightness_index, deltas
                 )
                 resid[i] = max(
                     weak_form_residual(
@@ -380,7 +378,7 @@ def heat_convergence_report(
             eta_coeffs = eta_sampler(rep)
             sol = _mild_states(driver_states, eta_coeffs, e_dt, main, off, grid.dt)
             vals, sup, mods_row = _path_stats(
-                sol, grid, basis, cell_vectors, tightness_index, deltas
+                sol, grid, cell_vectors, tightness_index, deltas
             )
             resid = max(
                 weak_form_residual(
@@ -522,6 +520,7 @@ def tightness_report(
     levels = [float(c) for c in tightness_levels]
     main, off = _laplacian_bands(basis)
     e_dt = heat_matrix(grid.dt, basis)
+    weights = SeminormIndex(float(tightness_index)).dual_weights(basis.size)
 
     cells = []
     driver_q = {}
@@ -534,14 +533,11 @@ def tightness_report(
             sol = _mild_states(
                 driver_states, eta_sampler(rep), e_dt, main, off, grid.dt
             )
-            weights = (2.0 * np.arange(basis.size) + 1.0) ** (-float(tightness_index))
-            out = []
-            for states in (driver_states, sol):
-                dual = DualPath(grid, basis, states)
-                out.append(sup_dual_norm(dual, tightness_index))
-                out.extend(modulus_dual(dual, d, tightness_index) for d in deltas)
-                out.append(float(np.sqrt(np.sum((states[-1] * weights) ** 2))))
-            return out
+            both = np.stack((driver_states, sol))
+            sups, mods = dual_path_stats(both, grid, deltas, tightness_index)
+            ends = np.sqrt(np.sum((both[:, -1] * weights) ** 2, axis=-1))
+            # one row: driver (sup, moduli, end norm), then the same for the solution
+            return np.column_stack((sups, mods, ends)).ravel()
 
         rows = np.array(parallel_map(one_rep, reps, threads))
         width = 2 + len(deltas)

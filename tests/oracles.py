@@ -73,3 +73,21 @@ def brute_force_variance(coeffs, t, ns=2001, nz=2001, zmax=12.0):
         vals = derivative_values(coeffs, x) ** 2
         g[a:b] = np.trapezoid(vals * density[None, :], z, axis=1)
     return float(np.trapezoid(g, s_grid))
+
+
+def brute_force_dual_modulus(states, times, delta, r):
+    """Max of ``p'_r(x(t_i) - x(t_j))`` over every node pair with ``|t_i - t_j| <= delta``.
+
+    ``states`` has shape ``(J+1, N)``.  The comparison is non-strict and
+    tolerates rounding in the node times, so a gap of exactly ``delta``
+    counts.
+    """
+    s = np.asarray(states, dtype=float) * (2.0 * np.arange(states.shape[-1]) + 1.0) ** (-r)
+    slack = 1e-9 * float(times[-1])
+    best = 0.0
+    for i in range(len(times)):
+        for j in range(i + 1, len(times)):
+            if times[j] - times[i] <= delta + slack:
+                diff = s[j] - s[i]
+                best = max(best, float(np.sqrt(np.sum(diff * diff))))
+    return best

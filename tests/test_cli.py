@@ -1,8 +1,18 @@
 import json
 
+import pytest
+
 from nucleartight import cli
-from nucleartight.diagnostics import SCHEMA, validate_report
+from nucleartight.diagnostics import SCHEMA, report_hash, validate_report
 from nucleartight.martingales import NumericalIntegrityError
+
+# sha256 of each bundled smoke report without ``metadata.versions``: a change
+# to a reducer or report loop must leave these bytes alone
+GOLDEN_HASHES = {
+    "clt-smoke": "2fd1bbd057e1bef029e9793fa70892e15e67cd5f840245ab91bfb51c0992aad8",
+    "heat-smoke": "290f115ef120f1604f886c1b3a446ec742fe9ea200adafb7feadc8bfa866284c",
+    "tightness-smoke": "a5c12fd0dd790b26b09c777e2ddce38b7425c487021d07cd978b3ae11c9202dd",
+}
 
 
 def run(args):
@@ -13,6 +23,12 @@ def read_report(out_dir):
     data = json.loads((out_dir / "report.json").read_text())
     validate_report(data)
     return data
+
+
+def hash_without_versions(report):
+    stripped = {**report, "metadata": dict(report["metadata"])}
+    del stripped["metadata"]["versions"]
+    return report_hash(stripped)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +87,20 @@ def test_rejects_bad_fields(tmp_path):
     assert run(["basis-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["clt", "tightness"])
+@pytest.mark.parametrize(
+    "deltas", [[2.0], [0.0], [0.1, -0.05], ["NaN"]], ids=["beyond-T", "zero", "negative", "nan"]
+)
+def test_rejects_bad_tightness_deltas(tmp_path, capsys, command, deltas):
+    cfg = {"basis": {"N": 8, "Q": 16}, "grid": {"T": 1.0, "J": 20}, "n_list": [2], "reps": 2}
+    text = json.dumps({**cfg, "tightness": {"deltas": deltas}}).replace('"NaN"', "NaN")
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "tightness.deltas" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # experiment commands
 # ---------------------------------------------------------------------------
@@ -84,6 +114,7 @@ def test_clt_smoke_scenario(tmp_path):
     assert len(report["cells"]) == 2 * 1 * 2
     extras = report["metadata"]["extras"]
     assert set(extras["per_n"]) == {"5", "20"}
+    assert hash_without_versions(report) == GOLDEN_HASHES["clt-smoke"]
 
 
 def test_clt_rerun_byte_identical_across_threads(tmp_path):
@@ -110,6 +141,7 @@ def test_heat_smoke_scenario_and_reruns(tmp_path):
     extras = report["metadata"]["extras"]
     assert extras["calibration"]["reps"] == 3
     assert extras["limit"]["residual_pass"] is True
+    assert hash_without_versions(report) == GOLDEN_HASHES["heat-smoke"]
 
 
 def test_tightness_smoke_scenario(tmp_path):
@@ -119,6 +151,7 @@ def test_tightness_smoke_scenario(tmp_path):
     gate = report["metadata"]["extras"]["gate"]
     assert code == (0 if gate["pass"] else 1)
     assert gate["ratio"] > 0.0
+    assert hash_without_versions(report) == GOLDEN_HASHES["tightness-smoke"]
 
 
 def test_seed_override_changes_bytes(tmp_path):

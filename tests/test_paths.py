@@ -9,6 +9,7 @@ from nucleartight.paths import (
     ScalarPathEnsemble,
     TimeGrid,
     compact_containment_report,
+    dual_path_stats,
     modulus_dual,
     modulus_testfn,
     read_dual_paths_csv,
@@ -19,6 +20,7 @@ from nucleartight.paths import (
 )
 
 from conftest import unit_function
+from oracles import brute_force_dual_modulus
 
 
 def dual_path_from_scalar(grid, basis, scalar_values, mode=0):
@@ -86,6 +88,8 @@ def test_modulus_rejects_bad_delta(basis16):
         modulus_dual(x, 0.0, 1.0)
     with pytest.raises(ValueError):
         modulus_dual(x, 1.5, 1.0)
+    with pytest.raises(ValueError):
+        modulus_dual(x, float("nan"), 1.0)
 
 
 def test_modulus_cauchy_schwarz_chain(basis16):
@@ -144,6 +148,57 @@ def test_modulus_subadditive_under_concatenation(basis16):
         whole = modulus_dual(x, delta, 1.0)
         parts = modulus_dual(x1, delta, 1.0) + modulus_dual(x2, delta, 1.0)
         assert whole <= parts + 1e-12
+
+
+# unsorted and repeated gaps, one below dt = 0.025 (no pairs) and T itself (lag J)
+ORACLE_DELTAS = [0.3, 0.05, 1.0, 0.05, 0.01, 0.125]
+
+
+@pytest.mark.parametrize("batch", [(), (2,), (3, 2)])
+def test_dual_path_stats_equals_all_pairs_oracle(batch):
+    rng = np.random.default_rng(41)
+    grid = TimeGrid(1.0, 40)
+    states = np.cumsum(rng.standard_normal(batch + (41, 6)), axis=-2)
+    r = 0.75
+    sup, mod = dual_path_stats(states, grid, ORACLE_DELTAS, r)
+    assert sup.shape == batch
+    assert mod.shape == batch + (len(ORACLE_DELTAS),)
+    weights = (2.0 * np.arange(6) + 1.0) ** (-r)
+    for idx in np.ndindex(*batch):
+        x = states[idx]
+        assert sup[idx] == max(np.sqrt(np.sum(v * v)) for v in x * weights)
+        expected = [brute_force_dual_modulus(x, grid.nodes(), d, r) for d in ORACLE_DELTAS]
+        assert mod[idx].tolist() == expected
+    assert np.all(mod[..., 4] == 0.0)
+
+
+def test_dual_path_stats_batch_equals_single_paths(basis16):
+    rng = np.random.default_rng(43)
+    grid = TimeGrid(1.0, 60)
+    states = np.cumsum(rng.standard_normal((4, 61, basis16.size)), axis=1)
+    sup, mod = dual_path_stats(states, grid, ORACLE_DELTAS, 1.0)
+    for i in range(4):
+        one_sup, one_mod = dual_path_stats(states[i], grid, ORACLE_DELTAS, 1.0)
+        assert sup[i] == one_sup
+        assert np.array_equal(mod[i], one_mod)
+        x = DualPath(grid, basis16, states[i])
+        assert sup[i] == sup_dual_norm(x, 1.0)
+        assert mod[i].tolist() == [modulus_dual(x, d, 1.0) for d in ORACLE_DELTAS]
+    empty_sup, empty_mod = dual_path_stats(states, grid, [], 1.0)
+    assert np.array_equal(empty_sup, sup)
+    assert empty_mod.shape == (4, 0)
+
+
+def test_dual_path_stats_validates_input():
+    grid = TimeGrid(1.0, 10)
+    states = np.zeros((2, 11, 4))
+    states[1, 3, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        dual_path_stats(states, grid, [0.1], 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        dual_path_stats(np.zeros((2, 10, 4)), grid, [0.1], 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        dual_path_stats(np.zeros(11), grid, [0.1], 1.0)
 
 
 # ---------------------------------------------------------------------------
