@@ -35,10 +35,8 @@ from .paths import (
     ScalarPath,
     ScalarPathEnsemble,
     TimeGrid,
-    compact_containment_report,
     dual_path_stats,
     modulus_dual,
-    modulus_testfn,
     sup_dual_norm,
 )
 from .martingales import (

@@ -155,6 +155,11 @@ def load_config(path_or_name: str) -> dict:
     return cfg
 
 
+# keys a config may hold besides its command's defaults; ``command`` is the
+# echo a materialized config carries
+_EXTRA_KEYS = {"": {"scenario", "threads", "command"}, "eta": {"r", "scale", "coeffs"}}
+
+
 def _merge(defaults, override, crumb=""):
     if isinstance(defaults, dict):
         if not isinstance(override, dict):
@@ -162,6 +167,7 @@ def _merge(defaults, override, crumb=""):
         out = dict(defaults)
         for key, value in override.items():
             hole = f"{crumb}.{key}" if crumb else key
+            _require(key in defaults or key in _EXTRA_KEYS.get(crumb, ()), hole, "unknown key")
             if key in defaults and isinstance(defaults[key], dict):
                 out[key] = _merge(defaults[key], value, hole)
             else:
@@ -170,8 +176,18 @@ def _merge(defaults, override, crumb=""):
     return override
 
 
+def _require(ok: bool, field: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(f"field {field}: {message}")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and bool(np.isfinite(value))
+
+
 def materialize(command: str, cfg: dict) -> dict:
-    """Fill defaults and validate shapes; raise ConfigError on violations."""
+    """Fill defaults and validate every field; raise ConfigError on violations."""
+    _require(cfg.get("command", command) == command, "command", f"must be {command!r}")
     merged = _merge(_DEFAULTS[command], {k: v for k, v in cfg.items() if k != "threads"})
     merged["command"] = command
     try:
@@ -184,31 +200,76 @@ def materialize(command: str, cfg: dict) -> dict:
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"field grid: {exc}") from exc
         deltas = merged["tightness"].get("deltas")
-        if not isinstance(deltas, list) or not all(
-            isinstance(d, (int, float)) and 0.0 < d <= grid.horizon for d in deltas
-        ):
-            raise ConfigError(
-                f"field tightness.deltas: must be a list of time gaps in (0, T = {grid.horizon}]"
-            )
-        for name in ("n_list", "times") if command != "tightness" else ("n_list",):
-            value = merged.get(name)
-            if not isinstance(value, list) or not value:
-                raise ConfigError(f"field {name}: must be a nonempty list")
+        _require(
+            isinstance(deltas, list)
+            and all(isinstance(d, (int, float)) and 0.0 < d <= grid.horizon for d in deltas),
+            "tightness.deltas",
+            f"must be a list of time gaps in (0, T = {grid.horizon}]",
+        )
+        n_list = merged["n_list"]
+        _require(
+            isinstance(n_list, list) and n_list and all(isinstance(n, int) and n >= 1 for n in n_list),
+            "n_list",
+            "must be a nonempty list of particle counts >= 1",
+        )
         if command != "tightness":
-            phi_list = merged.get("phi_list")
-            if not isinstance(phi_list, list) or not phi_list:
-                raise ConfigError("field phi_list: must be a nonempty list")
-            for i, coeffs in enumerate(phi_list):
-                if not isinstance(coeffs, list) or len(coeffs) > basis.size:
-                    raise ConfigError(
-                        f"field phi_list[{i}]: must be a coefficient list with "
-                        f"at most basis.N = {basis.size} entries"
-                    )
-        if int(merged.get("reps", 0)) < 2:
-            raise ConfigError("field reps: need at least 2 repetitions")
-    if not isinstance(merged.get("seed"), int) or merged["seed"] < 0:
-        raise ConfigError("field seed: must be a nonnegative integer")
+            _check_cells(merged, basis, grid)
+        if command != "clt":
+            _check_eta(merged["eta"], basis)
+        if command == "heat":
+            modes, steps = merged["limit_modes"], merged["calibration"]["steps"]
+            _require(
+                isinstance(modes, int) and 1 <= modes <= basis.size,
+                "limit_modes",
+                f"must be an integer in [1, basis.N = {basis.size}]",
+            )
+            _require(
+                steps is None or (isinstance(steps, int) and steps >= 1),
+                "calibration.steps",
+                "must be null or a positive integer",
+            )
+        _require(int(merged.get("reps", 0)) >= 2, "reps", "need at least 2 repetitions")
+    _require(
+        isinstance(merged.get("seed"), int) and merged["seed"] >= 0,
+        "seed",
+        "must be a nonnegative integer",
+    )
     return merged
+
+
+def _check_cells(cfg: dict, basis: BasisSpec, grid: TimeGrid) -> None:
+    times, phi_list = cfg["times"], cfg["phi_list"]
+    _require(isinstance(times, list) and times, "times", "must be a nonempty list")
+    for t in times:
+        try:
+            grid.index_of(float(t))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"field times: {t!r} is not a node of the grid (T = {grid.horizon}, J = {grid.steps})"
+            ) from None
+    _require(isinstance(phi_list, list) and phi_list, "phi_list", "must be a nonempty list")
+    for i, coeffs in enumerate(phi_list):
+        _require(
+            isinstance(coeffs, list) and len(coeffs) <= basis.size,
+            f"phi_list[{i}]",
+            f"must be a coefficient list with at most basis.N = {basis.size} entries",
+        )
+
+
+def _check_eta(eta: dict, basis: BasisSpec) -> None:
+    kinds = ["zero", "fixed-coeffs", "gaussian"]
+    _require(eta.get("kind") in kinds, "eta.kind", f"must be one of {kinds}")
+    if eta["kind"] == "gaussian":
+        r = eta.get("r")
+        _require(_finite(r) and r > 0.5, "eta.r", "gaussian initial states need r > 1/2")
+        _require(_finite(eta.get("scale", 1.0)), "eta.scale", "must be a finite number")
+    if eta["kind"] == "fixed-coeffs":
+        coeffs = eta.get("coeffs")
+        _require(
+            isinstance(coeffs, list) and len(coeffs) == basis.size and all(map(_finite, coeffs)),
+            "eta.coeffs",
+            f"fixed-coeffs needs exactly basis.N = {basis.size} finite numbers",
+        )
 
 
 def _basis_from(cfg: dict) -> BasisSpec:
@@ -477,6 +538,7 @@ def main(argv=None) -> int:
                 raise ConfigError("field seed: must be a nonnegative integer")
             cfg["seed"] = args.seed
         threads = args.threads if args.threads is not None else cfg.get("threads", 1)
+        _require(isinstance(threads, int), "threads", "must be an integer")
         report, ok, extras = run_command(
             args.command, cfg, threads=max(1, int(threads)), dump=args.dump_paths
         )

@@ -185,10 +185,14 @@ def _index_value(r) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hermite_modes_first(x: np.ndarray, count: int) -> np.ndarray:
-    """Recurrence workhorse; shape ``(count,) + x.shape``, contiguous writes."""
+def _hermite_modes_first(x: np.ndarray, count: int, gaussian: bool = True) -> np.ndarray:
+    """Recurrence workhorse; shape ``(count,) + x.shape``, contiguous writes.
+
+    With ``gaussian=False`` the Gaussian factor is left out, which gives the
+    orthonormalized polynomials ``p_k = h_k exp(x^2/2)``.
+    """
     out = np.empty((count,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    out[0] = np.pi ** -0.25 * (np.exp(-0.5 * x * x) if gaussian else 1.0)
     if count == 1:
         return out
     np.multiply(np.sqrt(2.0) * x, out[0], out=out[1])
@@ -218,23 +222,13 @@ def hermite_polynomials(x, count: int) -> np.ndarray:
 
     Same recurrence as :func:`hermite_functions` but without the Gaussian
     factor; orthonormal against the weight ``exp(-x^2)``.  Used where the
-    weight is carried by a quadrature rule instead of the integrand.
+    weight is carried by a quadrature rule instead of the integrand.  The
+    result is C-contiguous with shape ``x.shape + (count,)``.
     """
     x = np.asarray(x, dtype=float)
     if count < 1:
         raise ValueError("count must be >= 1")
-    out = np.empty(x.shape + (count,))
-    p_prev = np.full(x.shape, np.pi ** -0.25)
-    out[..., 0] = p_prev
-    if count == 1:
-        return out
-    p_cur = np.sqrt(2.0) * x * p_prev
-    out[..., 1] = p_cur
-    for k in range(1, count - 1):
-        p_next = np.sqrt(2.0 / (k + 1)) * x * p_cur - np.sqrt(k / (k + 1.0)) * p_prev
-        out[..., k + 1] = p_next
-        p_prev, p_cur = p_cur, p_next
-    return out
+    return np.ascontiguousarray(np.moveaxis(_hermite_modes_first(x, count, gaussian=False), 0, -1))
 
 
 def eval_series(coeffs, x) -> np.ndarray:

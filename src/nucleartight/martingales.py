@@ -413,7 +413,6 @@ def clt_report(
     grid: TimeGrid,
     *,
     threads: int = 1,
-    form: QuadraticForm | None = None,
     tightness_index: float = 1.0,
     tightness_levels=(0.5, 1.0, 2.0, 4.0),
     tightness_deltas=(0.01, 0.02, 0.05, 0.1, 0.2),
@@ -440,8 +439,7 @@ def clt_report(
     if reps < 2:
         raise ValueError("need at least two repetitions")
     basis = phis[0].basis
-    if form is None:
-        form = QuadraticForm(basis)
+    form = QuadraticForm(basis)
 
     t_idx = [grid.index_of(t) for t in times]
     targets = np.array([[form.variance(t, phi) for t in times] for phi in phis])

@@ -30,12 +30,9 @@ __all__ = [
     "ScalarPathEnsemble",
     "DualPath",
     "DualPathEnsemble",
-    "modulus_testfn",
     "modulus_dual",
-    "modulus_scalar",
     "sup_dual_norm",
     "dual_path_stats",
-    "compact_containment_report",
     "containment_summary",
     "write_scalar_paths_csv",
     "read_scalar_paths_csv",
@@ -181,21 +178,6 @@ def _max_lag(grid: TimeGrid, delta: float) -> int:
     return min(grid.steps, int(np.floor(delta / grid.dt * (1.0 + 1e-12))))
 
 
-def modulus_scalar(values: np.ndarray, grid: TimeGrid, delta: float) -> float:
-    """Largest increment of a scalar grid path over time gaps <= delta."""
-    v = np.asarray(values, dtype=float)
-    lag_max = _max_lag(grid, delta)
-    best = 0.0
-    for lag in range(1, lag_max + 1):
-        best = max(best, float(np.max(np.abs(v[..., lag:] - v[..., :-lag]))))
-    return best
-
-
-def modulus_testfn(x: DualPath, delta: float, phi: TestFunction) -> float:
-    """Modulus of continuity of the projection ``t -> <x(t), phi>``."""
-    return modulus_scalar(x.project(phi).values, x.grid, delta)
-
-
 def dual_path_stats(states, grid: TimeGrid, deltas, r):
     """Running sup and modulus of continuity in the dual norm of rung ``r``.
 
@@ -261,9 +243,8 @@ def containment_summary(
     """Assemble exceedance frequencies and modulus quantiles from reductions.
 
     ``sup_norms`` has one entry per path; ``modulus_table`` has shape
-    ``(paths, len(delta_grid))``.  Used both by
-    :func:`compact_containment_report` and by streaming drivers that never
-    materialize a full ensemble.
+    ``(paths, len(delta_grid))``, as :func:`dual_path_stats` returns them
+    for a batch of paths.
     """
     sup_norms = np.asarray(sup_norms, dtype=float)
     modulus_table = np.asarray(modulus_table, dtype=float)
@@ -288,24 +269,6 @@ def containment_summary(
             f"{q!r}": float(np.quantile(sup_norms, q)) for q in quantiles
         },
     }
-
-
-def compact_containment_report(
-    ensemble: DualPathEnsemble,
-    r,
-    c_levels,
-    delta_grid,
-    quantiles=(0.5, 0.9, 0.99),
-) -> dict:
-    """Empirical containment report for an ensemble of dual paths.
-
-    Reports the frequency of ``sup_t p'_r > C`` for each level ``C`` and
-    quantile curves of the dual modulus over the delta grid.
-    """
-    if len(ensemble) == 0:
-        raise ValueError("empty ensemble")
-    sups, table = dual_path_stats(ensemble.states, ensemble.grid, delta_grid, r)
-    return containment_summary(sups, table, c_levels, delta_grid, quantiles)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ two-sample statistics.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from . import diagnostics
@@ -79,14 +81,16 @@ def sample_initial(
     r: float | None = None,
     scale: float = 1.0,
     coeffs=None,
-    stream_id: int = 0,
+    stream_id=0,
+    tag: str = "initial",
 ) -> DualElement:
     """Draw an initial dual state: ``zero``, ``fixed-coeffs`` or ``gaussian``.
 
     The gaussian kind draws coefficient ``k`` from
     Normal(0, scale^2 (2k+1)^(-2r)) and requires ``r > 1/2`` so the dual
-    norm stays summable as the truncation grows.  Uses the stream tagged
-    ``"initial"``, independent of every particle stream.
+    norm stays summable as the truncation grows.  It uses the stream keyed
+    by ``(tag, *stream_id)`` (one index or a tuple of them), independent of
+    every particle stream.
     """
     if kind == "zero":
         return DualElement(basis, np.zeros(basis.size))
@@ -97,9 +101,10 @@ def sample_initial(
     if kind == "gaussian":
         if r is None or r <= 0.5:
             raise ValueError("gaussian initial state requires r > 1/2")
-        gen = stream(seed, "initial", stream_id)
+        ids = stream_id if isinstance(stream_id, tuple) else (stream_id,)
+        gen = stream(seed, tag, *ids)
         k = np.arange(basis.size)
-        sd = scale * (2.0 * k + 1.0) ** (-float(r))
+        sd = float(scale) * (2.0 * k + 1.0) ** (-float(r))
         return DualElement(basis, gen.standard_normal(basis.size) * sd)
     raise ValueError(f"unknown initial-state kind {kind!r}")
 
@@ -107,11 +112,6 @@ def sample_initial(
 # ---------------------------------------------------------------------------
 # mild solver
 # ---------------------------------------------------------------------------
-
-
-def _laplacian_bands(basis: BasisSpec):
-    lap = laplacian_op(basis)
-    return np.diagonal(lap).copy(), np.diagonal(lap, offset=2).copy()
 
 
 def _apply_laplacian(states: np.ndarray, main: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -152,11 +152,8 @@ def mild_solution(driver: DualPath, eta: DualElement) -> DualPath:
     """Solve the heat evolution driven by ``driver`` from initial state ``eta``."""
     if driver.basis != eta.basis:
         raise ValueError("driver and initial state must share a basis")
-    basis = driver.basis
-    main, off = _laplacian_bands(basis)
-    e_dt = heat_matrix(driver.grid.dt, basis)
-    states = _mild_states(driver.states, eta.coeffs, e_dt, main, off, driver.grid.dt)
-    return DualPath(driver.grid, basis, states)
+    states = _HeatSolver(driver.basis, driver.grid).solve(driver.states, eta.coeffs)
+    return DualPath(driver.grid, driver.basis, states)
 
 
 def weak_form_residual(
@@ -185,31 +182,8 @@ def weak_form_residual(
 
 
 # ---------------------------------------------------------------------------
-# weak-convergence experiment
+# ensemble pipeline
 # ---------------------------------------------------------------------------
-
-
-def _eta_sampler(eta_spec: dict, basis: BasisSpec, seed: int, tag: str, prefix=()):
-    """Per-repetition initial-state sampler with its own stream namespace."""
-    spec = dict(eta_spec or {"kind": "zero"})
-    kind = spec.get("kind", "zero")
-
-    def sample(idx: int) -> np.ndarray:
-        if kind == "zero":
-            return np.zeros(basis.size)
-        if kind == "fixed-coeffs":
-            return np.asarray(spec["coeffs"], dtype=float)
-        if kind == "gaussian":
-            gen = stream(seed, tag, *prefix, idx)
-            k = np.arange(basis.size)
-            r = float(spec["r"])
-            if r <= 0.5:
-                raise ValueError("gaussian initial state requires r > 1/2")
-            sd = float(spec.get("scale", 1.0)) * (2.0 * k + 1.0) ** (-r)
-            return gen.standard_normal(basis.size) * sd
-        raise ValueError(f"unknown initial-state kind {kind!r}")
-
-    return sample
 
 
 def _limit_factors(
@@ -246,11 +220,49 @@ def _limit_driver_chunk(
     return states
 
 
-def _path_stats(states, grid, cell_vectors, r_index, deltas):
-    """Cell values, sup dual norm and modulus row for one solution path."""
-    cells = np.array([states[j] @ c for c, j in cell_vectors])
-    sup, mods = dual_path_stats(states, grid, deltas, r_index)
-    return cells, sup, mods
+class _HeatSolver:
+    """The solve steps the reports share on one grid: initial state, particle
+    or limit driver, mild solution.  Every draw comes from a stream keyed by
+    its path, so results do not depend on chunking or threading."""
+
+    def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int = 0, eta_spec=None):
+        self.basis, self.grid, self.seed = basis, grid, seed
+        self.eta_spec = {"kind": "zero", **(eta_spec or {})}
+        lap = laplacian_op(basis)
+        self.main, self.off = np.diagonal(lap).copy(), np.diagonal(lap, offset=2).copy()
+        self.e_dt = heat_matrix(grid.dt, basis)
+
+    def initial(self, tag: str, *ids: int) -> np.ndarray:
+        keys = {"basis": self.basis, "seed": self.seed, "stream_id": ids, "tag": tag}
+        return sample_initial(**keys, **self.eta_spec).coeffs
+
+    def solve(self, driver_states: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        return _mild_states(driver_states, eta, self.e_dt, self.main, self.off, self.grid.dt)
+
+    def particle(self, n: int, rep: int):
+        """``(driver, eta, solution)`` of repetition ``rep`` with ``n`` particles."""
+        particles = simulate_particles(n, self.grid, self.seed, stream_id=rep)
+        driver = _mn_dual_states(particles, self.basis)
+        eta = self.initial("initial", rep)
+        return driver, eta, self.solve(driver, eta)
+
+    def limit(self, factors: np.ndarray, count: int, tag: str, *prefix: int):
+        """Yield ``(drivers, etas, solutions)`` for limit paths ``0..count-1``
+        in chunks of about four million states; initial states come from the
+        streams tagged ``tag + "-initial"``."""
+        chunk = max(1, 4_000_000 // ((self.grid.steps + 1) * self.basis.size))
+        for a in range(0, count, chunk):
+            idx = range(a, min(a + chunk, count))
+            drivers = _limit_driver_chunk(
+                factors, self.basis, self.grid, self.seed, tag, idx, prefix
+            )
+            etas = np.array([self.initial(f"{tag}-initial", *prefix, i) for i in idx])
+            yield drivers, etas, self.solve(drivers, etas)
+
+
+# ---------------------------------------------------------------------------
+# weak-convergence experiment
+# ---------------------------------------------------------------------------
 
 
 def heat_convergence_report(
@@ -264,7 +276,6 @@ def heat_convergence_report(
     *,
     limit_modes: int = 16,
     threads: int = 1,
-    form: QuadraticForm | None = None,
     calibration_reps: int = 50,
     calibration_size: int = 500,
     calibration_steps: int | None = None,
@@ -297,179 +308,97 @@ def heat_convergence_report(
     for phi in phis:
         if phi.basis != basis:
             raise ValueError("test functions must share a basis")
-    if form is None:
-        form = QuadraticForm(basis)
-    if isinstance(eta_spec, (list, tuple)):
-        if len(eta_spec) != len(n_list):
-            raise ValueError("per-n eta specs must match n_list length")
-        eta_specs = [dict(e or {"kind": "zero"}) for e in eta_spec]
-        limit_eta_spec = eta_specs[-1]
-    else:
-        eta_specs = [dict(eta_spec or {"kind": "zero"})] * len(n_list)
-        limit_eta_spec = dict(eta_spec or {"kind": "zero"})
 
-    t_idx = [grid.index_of(t) for t in times]
-    cell_vectors = [(phi.coeffs, j) for phi in phis for j in t_idx]
-    main, off = _laplacian_bands(basis)
-    e_dt = heat_matrix(grid.dt, basis)
+    cell_vectors = [(phi.coeffs, grid.index_of(t)) for phi, t in product(phis, times)]
+    width = len(cell_vectors)
     deltas = [float(d) for d in tightness_deltas]
     levels = [float(c) for c in tightness_levels]
     gate = residual_gate_factor * grid.dt
+    form = QuadraticForm(basis)
     factors = _limit_factors(form, grid, basis, limit_modes)
+    solver = _HeatSolver(basis, grid, seed, eta_spec)
+
+    def path_row(driver, eta, sol):
+        """One path as ``[cells..., sup, moduli..., residual over every phi]``,
+        with the solution itself when paths are collected."""
+        sup, mods = dual_path_stats(sol, grid, deltas, tightness_index)
+        y, m = DualPath(grid, basis, sol), DualPath(grid, basis, driver)
+        e = DualElement(basis, eta)
+        resid = max(weak_form_residual(y, m, e, phi) for phi in phis)
+        row = np.array([*(sol[j] @ c for c, j in cell_vectors), sup, *mods, resid])
+        return row, sol if collect_paths else None
+
+    def summary(rows: np.ndarray) -> dict:
+        resid_max = float(rows[:, -1].max())
+        return {
+            "tightness": containment_summary(
+                rows[:, width], rows[:, width + 1 : -1], levels, deltas
+            ),
+            "residual_max": resid_max,
+            "residual_gate": gate,
+            "residual_pass": bool(resid_max < gate),
+        }
 
     # --- limit-driven sample ---------------------------------------------
-    limit_eta = _eta_sampler(limit_eta_spec, basis, seed, "limit-initial")
-
-    def limit_batch(tag: str, count: int, eta_sampler, collect=False):
-        chunk = max(1, 4_000_000 // ((grid.steps + 1) * basis.size))
-        all_cells = np.empty((count, len(cell_vectors)))
-        sups = np.empty(count)
-        mods = np.empty((count, len(deltas)))
-        resid = np.empty(count)
-        kept = [] if collect else None
-        for a in range(0, count, chunk):
-            idx = range(a, min(a + chunk, count))
-            drivers = _limit_driver_chunk(factors, basis, grid, seed, tag, idx)
-            etas = np.array([eta_sampler(i) for i in idx])
-            sols = _mild_states(drivers, etas, e_dt, main, off, grid.dt)
-            for c, i in enumerate(idx):
-                all_cells[i], sups[i], mods[i] = _path_stats(
-                    sols[c], grid, cell_vectors, tightness_index, deltas
-                )
-                resid[i] = max(
-                    weak_form_residual(
-                        DualPath(grid, basis, sols[c]),
-                        DualPath(grid, basis, drivers[c]),
-                        DualElement(basis, etas[c]),
-                        phi,
-                    )
-                    for phi in phis
-                )
-                if collect:
-                    kept.append(sols[c])
-        return all_cells, sups, mods, resid, kept
-
-    limit_cells, limit_sups, limit_mods, limit_resid, limit_paths = limit_batch(
-        "limit", reps, limit_eta, collect_paths
-    )
-
-    extras = {
-        "per_n": {},
-        "limit": {
-            "modes": limit_modes,
-            "tightness": containment_summary(limit_sups, limit_mods, levels, deltas),
-            "residual_max": float(limit_resid.max()),
-            "residual_gate": gate,
-            "residual_pass": bool(limit_resid.max() < gate),
-        },
-        "paths": {},
-    }
+    # a comprehension, so no chunk outlives the rows taken from it
+    limit = [
+        path_row(*path) for chunk in solver.limit(factors, reps, "limit") for path in zip(*chunk)
+    ]
+    limit_rows = np.array([r[0] for r in limit])
+    limit_cells = limit_rows[:, :width].copy()
+    extras = {"per_n": {}, "limit": {"modes": limit_modes, **summary(limit_rows)}, "paths": {}}
     if collect_paths:
-        extras["paths"]["limit"] = limit_paths
+        extras["paths"]["limit"] = [r[1] for r in limit]
 
     # --- particle-driven samples ------------------------------------------
     cells = []
-    for n_pos, n in enumerate(n_list):
-        eta_sampler = _eta_sampler(eta_specs[n_pos], basis, seed, "initial")
-
-        def one_rep(rep, n=n, eta_sampler=eta_sampler):
-            particles = simulate_particles(n, grid, seed, stream_id=rep)
-            driver_states = _mn_dual_states(particles, basis)
-            eta_coeffs = eta_sampler(rep)
-            sol = _mild_states(driver_states, eta_coeffs, e_dt, main, off, grid.dt)
-            vals, sup, mods_row = _path_stats(
-                sol, grid, cell_vectors, tightness_index, deltas
-            )
-            resid = max(
-                weak_form_residual(
-                    DualPath(grid, basis, sol),
-                    DualPath(grid, basis, driver_states),
-                    DualElement(basis, eta_coeffs),
-                    phi,
-                )
-                for phi in phis
-            )
-            return vals, sup, mods_row, resid, sol if collect_paths else None
-
-        results = parallel_map(one_rep, reps, threads)
-        n_cells = np.array([r[0] for r in results])
-        sups = np.array([r[1] for r in results])
-        mods = np.array([r[2] for r in results])
-        resid = np.array([r[3] for r in results])
-
+    for n in n_list:
+        results = parallel_map(lambda rep, n=n: path_row(*solver.particle(n, rep)), reps, threads)
+        rows = np.array([r[0] for r in results])
+        n_cells = rows[:, :width].copy()
         energy, energy_se = diagnostics.energy_distance_with_se(n_cells, limit_cells)
-        extras["per_n"][n] = {
-            "energy": energy,
-            "energy_se": energy_se,
-            "tightness": containment_summary(sups, mods, levels, deltas),
-            "residual_max": float(resid.max()),
-            "residual_gate": gate,
-            "residual_pass": bool(resid.max() < gate),
-        }
+        extras["per_n"][n] = {"energy": energy, "energy_se": energy_se, **summary(rows)}
         if collect_paths:
-            extras["paths"][n] = [r[4] for r in results]
+            extras["paths"][n] = [r[1] for r in results]
 
-        pos = 0
-        for phi in phis:
-            for t in times:
-                a = n_cells[:, pos]
-                b = limit_cells[:, pos]
-                ks = diagnostics.ks_two_sample(a, b)
-                cells.append(
-                    {
-                        "n": n,
-                        "phi": _phi_label(phi),
-                        "t": t,
-                        "ks": ks.statistic,
-                        "ks_critical": ks.critical_1,
-                        "ks_critical_5": ks.critical_5,
-                        "ks_pvalue": diagnostics.ks_pvalue(ks.statistic, len(a), len(b)),
-                        "mean_n": float(a.mean()),
-                        "var_n": float(a.var(ddof=1)),
-                        "mean_limit": float(b.mean()),
-                        "var_limit": float(b.var(ddof=1)),
-                        "energy": energy,
-                        "energy_se": energy_se,
-                    }
-                )
-                pos += 1
+        for pos, (phi, t) in enumerate(product(phis, times)):
+            a = n_cells[:, pos]
+            b = limit_cells[:, pos]
+            ks = diagnostics.ks_two_sample(a, b)
+            cells.append(
+                {
+                    "n": n,
+                    "phi": _phi_label(phi),
+                    "t": t,
+                    "ks": ks.statistic,
+                    "ks_critical": ks.critical_1,
+                    "ks_critical_5": ks.critical_5,
+                    "ks_pvalue": diagnostics.ks_pvalue(ks.statistic, len(a), len(b)),
+                    "mean_n": float(a.mean()),
+                    "var_n": float(a.var(ddof=1)),
+                    "mean_limit": float(b.mean()),
+                    "var_limit": float(b.var(ddof=1)),
+                    "energy": energy,
+                    "energy_se": energy_se,
+                }
+            )
 
     # --- null calibration ---------------------------------------------------
     if calibration_reps > 0:
-        cal_grid = (
-            grid
-            if calibration_steps is None or calibration_steps == grid.steps
-            else TimeGrid(grid.horizon, int(calibration_steps))
-        )
-        cal_factors = (
-            factors
-            if cal_grid is grid
-            else _limit_factors(form, cal_grid, basis, limit_modes)
-        )
-        cal_e_dt = e_dt if cal_grid is grid else heat_matrix(cal_grid.dt, basis)
+        same = calibration_steps is None or calibration_steps == grid.steps
+        cal_grid = grid if same else TimeGrid(grid.horizon, int(calibration_steps))
+        cal = solver if same else _HeatSolver(basis, cal_grid, seed, eta_spec)
+        cal_factors = factors if same else _limit_factors(form, cal_grid, basis, limit_modes)
         # the calibration is a pure null check, so the cell choice is free;
         # the horizon is a node of every grid
-        cal_vectors = [(phis[0].coeffs, cal_grid.steps)]
+        phi0 = phis[0].coeffs
+
+        def side_sample(rep, side):
+            chunks = cal.limit(cal_factors, calibration_size, "calibration", rep, side)
+            return np.array([sol[-1] @ phi0 for _, _, sols in chunks for sol in sols])
 
         def one_calibration(rep):
-            out = []
-            for side in (0, 1):
-                eta_s = _eta_sampler(
-                    limit_eta_spec, basis, seed, "calibration-initial", (rep, side)
-                )
-                chunkvals = np.empty((calibration_size, len(cal_vectors)))
-                chunk = max(1, 4_000_000 // ((cal_grid.steps + 1) * basis.size))
-                for a in range(0, calibration_size, chunk):
-                    idx = range(a, min(a + chunk, calibration_size))
-                    drv = _limit_driver_chunk(
-                        cal_factors, basis, cal_grid, seed, "calibration", idx, (rep, side)
-                    )
-                    etas = np.array([eta_s(i) for i in idx])
-                    sols = _mild_states(drv, etas, cal_e_dt, main, off, cal_grid.dt)
-                    for c, i in enumerate(idx):
-                        chunkvals[i] = [sols[c][j] @ v for v, j in cal_vectors]
-                out.append(chunkvals)
-            ks = diagnostics.ks_two_sample(out[0][:, 0], out[1][:, 0])
+            ks = diagnostics.ks_two_sample(side_sample(rep, 0), side_sample(rep, 1))
             return diagnostics.ks_pvalue(ks.statistic, calibration_size, calibration_size)
 
         pvalues = parallel_map(one_calibration, calibration_reps, threads)
@@ -518,22 +447,16 @@ def tightness_report(
         raise ValueError("need at least two repetitions")
     deltas = [float(d) for d in tightness_deltas]
     levels = [float(c) for c in tightness_levels]
-    main, off = _laplacian_bands(basis)
-    e_dt = heat_matrix(grid.dt, basis)
+    solver = _HeatSolver(basis, grid, seed, eta_spec)
     weights = SeminormIndex(float(tightness_index)).dual_weights(basis.size)
 
     cells = []
     driver_q = {}
     for n in n_list:
-        eta_sampler = _eta_sampler(eta_spec, basis, seed, "initial")
 
-        def one_rep(rep, n=n, eta_sampler=eta_sampler):
-            particles = simulate_particles(n, grid, seed, stream_id=rep)
-            driver_states = _mn_dual_states(particles, basis)
-            sol = _mild_states(
-                driver_states, eta_sampler(rep), e_dt, main, off, grid.dt
-            )
-            both = np.stack((driver_states, sol))
+        def one_rep(rep, n=n):
+            driver, _, sol = solver.particle(n, rep)
+            both = np.stack((driver, sol))
             sups, mods = dual_path_stats(both, grid, deltas, tightness_index)
             ends = np.sqrt(np.sum((both[:, -1] * weights) ** 2, axis=-1))
             # one row: driver (sup, moduli, end norm), then the same for the solution

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -6,13 +9,73 @@ from nucleartight import cli
 from nucleartight.diagnostics import SCHEMA, report_hash, validate_report
 from nucleartight.martingales import NumericalIntegrityError
 
-# sha256 of each bundled smoke report without ``metadata.versions``: a change
-# to a reducer or report loop must leave these bytes alone
+# sha256 of each report without ``metadata.versions``, for the bundled smoke
+# scenarios and GOLDEN_CONFIGS: a change to a reducer or report loop must
+# leave these bytes alone
 GOLDEN_HASHES = {
     "clt-smoke": "2fd1bbd057e1bef029e9793fa70892e15e67cd5f840245ab91bfb51c0992aad8",
     "heat-smoke": "290f115ef120f1604f886c1b3a446ec742fe9ea200adafb7feadc8bfa866284c",
     "tightness-smoke": "a5c12fd0dd790b26b09c777e2ddce38b7425c487021d07cd978b3ae11c9202dd",
+    "heat-gaussian": "b5814516c68e05ad2f6066c30f9f606796e2efcafd37302adb38698813c714de",
+    "heat-fixed": "cc0a0503f75cf3d244bdaa982c211a86c917cebccec162fca17167770389284e",
+    "tightness-gaussian": "ca906d2dbe5b4597a1dcf35d8622c4f6e8afbdb71b67ed1ee9bce37cad7b940e",
 }
+
+# sha256 of the heat-smoke ``--dump-paths`` files
+DUMP_HASHES = {
+    "heat-5-dual.csv": "2907616ef7cdc13d35f89ee57254145abbd1cc1a204ab2a3983762e86b342d43",
+    "heat-limit-dual.csv": "661845771d09f2f69530321ed88bc90a594a341b147b1766635f3ce2ac13208c",
+}
+
+# configs the smoke scenarios leave out: gaussian and fixed-coeffs initial
+# states, two test functions, and a calibration grid coarser than the main one
+GOLDEN_CONFIGS = {
+    "heat-gaussian": (
+        "heat",
+        {
+            "basis": {"N": 8, "Q": 16},
+            "grid": {"T": 1.0, "J": 40},
+            "n_list": [3, 8],
+            "reps": 16,
+            "phi_list": [[1.0], [0.0, 0.5, 0.25]],
+            "times": [0.5, 1.0],
+            "eta": {"kind": "gaussian", "r": 1.0, "scale": 0.5},
+            "limit_modes": 5,
+            "calibration": {"reps": 3, "size": 30, "steps": 20},
+            "tightness": {"r": 0.5, "c_levels": [0.5, 1.0], "deltas": [0.05, 0.2]},
+        },
+    ),
+    "heat-fixed": (
+        "heat",
+        {
+            "basis": {"N": 6, "Q": 12},
+            "grid": {"T": 0.5, "J": 30},
+            "n_list": [4],
+            "reps": 12,
+            "phi_list": [[0.5, 1.0]],
+            "times": [0.5],
+            "eta": {"kind": "fixed-coeffs", "coeffs": [1.0, 0.0, -0.5, 0.25, 0.0, 0.1]},
+            "limit_modes": 4,
+            "calibration": {"reps": 2, "size": 20, "steps": None},
+            "tightness": {"r": 1.0, "c_levels": [1.0], "deltas": [0.1]},
+        },
+    ),
+    "tightness-gaussian": (
+        "tightness",
+        {
+            "basis": {"N": 8, "Q": 16},
+            "grid": {"T": 1.0, "J": 40},
+            "n_list": [3, 10],
+            "reps": 12,
+            "eta": {"kind": "gaussian", "r": 0.75, "scale": 2.0},
+            "quantile": 0.9,
+            "tightness": {"r": 1.0, "c_levels": [0.5, 2.0], "deltas": [0.05, 0.5]},
+        },
+    ),
+}
+
+# the benchmark's workload configs (``perfbench/workloads.py``)
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 
 
 def run(args):
@@ -101,6 +164,56 @@ def test_rejects_bad_tightness_deltas(tmp_path, capsys, command, deltas):
     assert not (tmp_path / "o").exists()
 
 
+BAD_BASE = {"basis": {"N": 16, "Q": 32}, "grid": {"T": 1.0, "J": 10}, "n_list": [2], "reps": 2}
+
+
+@pytest.mark.parametrize(
+    "command, override, field",
+    [
+        ("heat", {"basis": {"N": 8, "Q": 16}}, "limit_modes"),
+        ("heat", {"limit_modes": 0}, "limit_modes"),
+        ("heat", {"limit_modes": 17}, "limit_modes"),
+        ("heat", {"eta": {"kind": "bogus"}}, "eta.kind"),
+        ("heat", {"eta": {"kind": "gaussian"}}, "eta.r"),
+        ("tightness", {"eta": {"kind": "gaussian", "r": 0.5}}, "eta.r"),
+        ("heat", {"eta": {"kind": "fixed-coeffs"}}, "eta.coeffs"),
+        ("tightness", {"eta": {"kind": "fixed-coeffs", "coeffs": [1.0] * 15}}, "eta.coeffs"),
+        ("clt", {"n_list": [5, 0]}, "n_list"),
+        ("tightness", {"n_list": [0]}, "n_list"),
+        ("heat", {"times": [0.55]}, "times"),
+        ("clt", {"times": [0.5, 1.5]}, "times"),
+        ("heat", {"calibration": {"steps": 0}}, "calibration.steps"),
+        ("clt", {"rep": 5}, "rep"),
+        ("heat", {"eta": {"kind": "gaussian", "r": 1.0, "scal": 2.0}}, "eta.scal"),
+        ("tightness", {"tightness": {"dletas": [0.1]}}, "tightness.dletas"),
+        ("clt", {"eta": {"kind": "zero"}}, "eta"),
+        ("heat", {"command": "clt"}, "command"),
+        ("clt", {"threads": "two"}, "threads"),
+    ],
+)
+def test_rejects_bad_config(tmp_path, capsys, command, override, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**BAD_BASE, **override}))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"field {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", sorted(cli._bundled_scenarios()))
+def test_bundled_scenarios_materialize(name):
+    command = "basis-check" if name.startswith("basis") else name.split("-")[0]
+    full = cli.materialize(command, cli.load_config(name))
+    # a materialized config, as a report header records it, materializes to itself
+    assert cli.materialize(command, full) == full
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS["WORKLOADS"]))
+def test_benchmark_workloads_materialize(name):
+    command = WORKLOADS["WORKLOADS"][name]["command"]
+    full = cli.materialize(command, WORKLOADS["config_for"](name, 20260810))
+    assert cli.materialize(command, full) == full
+
+
 # ---------------------------------------------------------------------------
 # experiment commands
 # ---------------------------------------------------------------------------
@@ -170,6 +283,22 @@ def test_dump_paths_writes_csv(tmp_path):
     assert any(name.startswith("heat-5") for name in cell_files)
     header = (out / "cells" / cell_files[0]).read_text().splitlines()[0]
     assert header == "path,step,k,value"
+    digests = {
+        name: hashlib.sha256((out / "cells" / name).read_bytes()).hexdigest()
+        for name in cell_files
+    }
+    assert digests == DUMP_HASHES
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_configs(tmp_path, name):
+    command, cfg = GOLDEN_CONFIGS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    for threads in (1, 4):
+        out = tmp_path / str(threads)
+        assert run([command, "--config", str(path), "--out", str(out), "--threads", str(threads)]) == 0
+        assert hash_without_versions(read_report(out)) == GOLDEN_HASHES[name]
 
 
 def test_numerical_integrity_exit_code(tmp_path, monkeypatch, capsys):

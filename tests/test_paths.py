@@ -8,10 +8,9 @@ from nucleartight.paths import (
     ScalarPath,
     ScalarPathEnsemble,
     TimeGrid,
-    compact_containment_report,
+    containment_summary,
     dual_path_stats,
     modulus_dual,
-    modulus_testfn,
     read_dual_paths_csv,
     read_scalar_paths_csv,
     sup_dual_norm,
@@ -27,6 +26,15 @@ def dual_path_from_scalar(grid, basis, scalar_values, mode=0):
     states = np.zeros((grid.steps + 1, basis.size))
     states[:, mode] = scalar_values
     return DualPath(grid, basis, states)
+
+
+def projection_modulus(x, deltas, phi):
+    """Modulus of ``t -> <x(t), phi>``: the projection is a one-mode path at r = 0."""
+    return dual_path_stats((x.states @ phi.coeffs)[:, None], x.grid, deltas, 0.0)[1]
+
+
+def containment(states, grid, r, c_levels, deltas):
+    return containment_summary(*dual_path_stats(states, grid, deltas, r), c_levels, deltas)
 
 
 def test_time_grid_validation():
@@ -54,8 +62,8 @@ def test_modulus_constant_path(basis16):
     grid = TimeGrid(1.0, 20)
     x = dual_path_from_scalar(grid, basis16, np.full(21, 3.0))
     phi = unit_function(basis16, 0)
+    assert projection_modulus(x, [0.05, 0.3, 1.0], phi).tolist() == [0.0, 0.0, 0.0]
     for delta in (0.05, 0.3, 1.0):
-        assert modulus_testfn(x, delta, phi) == 0.0
         assert modulus_dual(x, delta, 1.0) == 0.0
 
 
@@ -63,9 +71,8 @@ def test_modulus_linear_path(basis16):
     grid = TimeGrid(1.0, 20)
     x = dual_path_from_scalar(grid, basis16, grid.nodes())
     phi = unit_function(basis16, 0)
-    assert modulus_testfn(x, 0.1, phi) == pytest.approx(0.1, abs=1e-12)
     # non-strict comparison: gap exactly delta is included
-    assert modulus_testfn(x, 0.25, phi) == pytest.approx(0.25, abs=1e-12)
+    assert projection_modulus(x, [0.1, 0.25], phi) == pytest.approx([0.1, 0.25], abs=1e-12)
 
 
 def test_modulus_monotone_in_delta(basis16):
@@ -75,7 +82,7 @@ def test_modulus_monotone_in_delta(basis16):
     x = DualPath(grid, basis16, states)
     phi = TestFunction(basis16, rng.standard_normal(basis16.size))
     deltas = [0.02, 0.1, 0.3, 0.7, 1.0]
-    tvals = [modulus_testfn(x, d, phi) for d in deltas]
+    tvals = projection_modulus(x, deltas, phi).tolist()
     dvals = [modulus_dual(x, d, 0.5) for d in deltas]
     assert all(a <= b + 1e-14 for a, b in zip(tvals, tvals[1:]))
     assert all(a <= b + 1e-14 for a, b in zip(dvals, dvals[1:]))
@@ -100,7 +107,9 @@ def test_modulus_cauchy_schwarz_chain(basis16):
         phi = TestFunction(basis16, rng.standard_normal(basis16.size))
         r = rng.uniform(0.0, 2.0)
         delta = rng.uniform(0.05, 1.0)
-        lhs = modulus_testfn(x, delta, phi)
+        lhs = projection_modulus(x, [delta], phi)[0]
+        projected = (x.states @ phi.coeffs)[:, None]
+        assert lhs == brute_force_dual_modulus(projected, grid.nodes(), delta, 0.0)
         rhs = modulus_dual(x, delta, r) * (
             np.sqrt(np.sum(((2 * np.arange(basis16.size) + 1.0) ** r * phi.coeffs) ** 2))
         )
@@ -208,8 +217,7 @@ def test_dual_path_stats_validates_input():
 
 def test_containment_zero_ensemble(basis16):
     grid = TimeGrid(1.0, 10)
-    ens = DualPathEnsemble(grid, basis16, np.zeros((5, 11, basis16.size)))
-    report = compact_containment_report(ens, 1.0, [0.5, 1.0], [0.1, 0.5])
+    report = containment(np.zeros((5, 11, basis16.size)), grid, 1.0, [0.5, 1.0], [0.1, 0.5])
     assert all(v == 0.0 for v in report["exceedance"].values())
     for curve in report["modulus_quantiles"].values():
         assert all(v == 0.0 for v in curve)
@@ -219,8 +227,7 @@ def test_containment_single_path_levels(basis16):
     grid = TimeGrid(1.0, 10)
     states = np.zeros((1, 11, basis16.size))
     states[0, 5, 0] = 5.0
-    ens = DualPathEnsemble(grid, basis16, states)
-    report = compact_containment_report(ens, 0.0, [1.0, 10.0], [0.5])
+    report = containment(states, grid, 0.0, [1.0, 10.0], [0.5])
     assert report["exceedance"]["1.0"] == 1.0
     assert report["exceedance"]["10.0"] == 0.0
 
@@ -228,9 +235,9 @@ def test_containment_single_path_levels(basis16):
 def test_containment_frequencies_monotone(basis16):
     rng = np.random.default_rng(29)
     grid = TimeGrid(1.0, 20)
-    ens = DualPathEnsemble(grid, basis16, rng.standard_normal((40, 21, basis16.size)))
+    states = rng.standard_normal((40, 21, basis16.size))
     levels = [0.5, 1.0, 2.0, 4.0, 8.0]
-    report = compact_containment_report(ens, 1.0, levels, [0.1, 0.5])
+    report = containment(states, grid, 1.0, levels, [0.1, 0.5])
     freqs = [report["exceedance"][f"{c!r}"] for c in levels]
     assert all(0.0 <= f <= 1.0 for f in freqs)
     assert all(a >= b for a, b in zip(freqs, freqs[1:]))
@@ -238,9 +245,8 @@ def test_containment_frequencies_monotone(basis16):
 
 def test_containment_rejects_empty(basis16):
     grid = TimeGrid(1.0, 10)
-    empty = DualPathEnsemble(grid, basis16, np.zeros((0, 11, basis16.size)))
-    with pytest.raises(ValueError):
-        compact_containment_report(empty, 1.0, [1.0], [0.1])
+    with pytest.raises(ValueError, match="empty ensemble"):
+        containment(np.zeros((0, 11, basis16.size)), grid, 1.0, [1.0], [0.1])
 
 
 # ---------------------------------------------------------------------------

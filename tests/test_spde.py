@@ -9,7 +9,7 @@ from nucleartight.hermite import (
     pairing,
 )
 from nucleartight.martingales import simulate_particles
-from nucleartight.paths import DualPath, TimeGrid
+from nucleartight.paths import DualPath, TimeGrid, containment_summary, dual_path_stats
 from nucleartight.spde import (
     heat_convergence_report,
     mild_solution,
@@ -233,23 +233,13 @@ def test_heat_report_calibration(heat_smoke):
     assert 0.0 <= cal["fraction_below_5"] <= 1.0
 
 
-def test_heat_report_eta_per_n_validation(basis, grid):
-    h0 = unit_function(basis, 0)
-    with pytest.raises(ValueError):
-        heat_convergence_report(
-            [5, 20], [{"kind": "zero"}], [h0], [1.0], 10, 1, grid, calibration_reps=0
-        )
-
-
 def test_brownian_ensemble_modulus_median_monotone(basis, grid):
-    from nucleartight.paths import DualPathEnsemble, compact_containment_report
-
     states = np.array(
         [mn_dual_path(simulate_particles(10, grid, 15, r), basis).states for r in range(30)]
     )
-    ens = DualPathEnsemble(grid, basis, states, {"seed": 15})
     deltas = [0.02, 0.05, 0.1, 0.2, 0.5]
-    report = compact_containment_report(ens, 1.0, [1.0], deltas)
+    sups, mods = dual_path_stats(states, grid, deltas, 1.0)
+    report = containment_summary(sups, mods, [1.0], deltas)
     medians = report["modulus_quantiles"]["0.5"]
     assert all(a <= b + 1e-14 for a, b in zip(medians, medians[1:]))
 
