@@ -13,7 +13,7 @@ report header, so reports are self-describing; the thread hint is runtime
 only and never recorded, keeping output bytes independent of thread count.
 
 Exit codes: 0 pass, 1 gate failure, 2 config error, 3 numerical-integrity
-failure.
+failure, 4 internal error (a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import importlib.resources
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,10 @@ def _require(ok: bool, field: str, message: str) -> None:
         raise ConfigError(f"field {field}: {message}")
 
 
+def _int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and value >= low
+
+
 def _finite(value) -> bool:
     return isinstance(value, (int, float)) and bool(np.isfinite(value))
 
@@ -217,18 +222,22 @@ def materialize(command: str, cfg: dict) -> dict:
         if command != "clt":
             _check_eta(merged["eta"], basis)
         if command == "heat":
-            modes, steps = merged["limit_modes"], merged["calibration"]["steps"]
+            modes, cal = merged["limit_modes"], merged["calibration"]
             _require(
                 isinstance(modes, int) and 1 <= modes <= basis.size,
                 "limit_modes",
                 f"must be an integer in [1, basis.N = {basis.size}]",
             )
+            _require(_int_at_least(cal["reps"], 0), "calibration.reps", "must be an integer >= 0")
+            _require(_int_at_least(cal["size"], 2), "calibration.size", "must be an integer >= 2")
             _require(
-                steps is None or (isinstance(steps, int) and steps >= 1),
+                cal["steps"] is None or _int_at_least(cal["steps"], 1),
                 "calibration.steps",
                 "must be null or a positive integer",
             )
-        _require(int(merged.get("reps", 0)) >= 2, "reps", "need at least 2 repetitions")
+        # the energy-distance standard error needs two blocks of two per sample
+        low = 2 if command == "tightness" else 4
+        _require(_int_at_least(merged["reps"], low), "reps", f"must be an integer >= {low}")
     _require(
         isinstance(merged.get("seed"), int) and merged["seed"] >= 0,
         "seed",
@@ -548,6 +557,10 @@ def main(argv=None) -> int:
     except NumericalIntegrityError as exc:
         print(f"numerical-integrity failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect, not a failed gate: keep exit 1 for gates
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

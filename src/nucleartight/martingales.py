@@ -40,7 +40,6 @@ from .hermite import (
     TestFunction,
     derivative_op,
     eval_series,
-    hermite_functions,
     hermite_polynomials,
     _gh_rule,
     _hermite_modes_first,
@@ -211,6 +210,9 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
+_GRAM_VALUES = 250_000  # Hermite values per chunk of QuadraticForm._gram_sums (2 MB)
+
+
 @lru_cache(maxsize=256)
 def _gl_composite(t: float, panels: int, points: int):
     """Composite Gauss-Legendre nodes/weights on [0, t] (read-only)."""
@@ -234,9 +236,8 @@ class QuadraticForm:
         E[phi'(Z_s) psi'(Z_s)] = (pi (2s+1))^(-1/2) sum_q w_q P(x_q / sqrt(a)),
         a = (2s+1) / (2s),
 
-    which is exact for the rule order in use.  At ``s = 0`` the removable
-    endpoint value is ``phi'(0) psi'(0)``.  The outer time integral uses
-    composite Gauss-Legendre with cached nodes.
+    which is exact for the rule order in use.  The outer time integral uses
+    composite Gauss-Legendre with cached nodes, all interior (``s > 0``).
     """
 
     def __init__(self, basis: BasisSpec, panels_per_unit: int = 8, gl_points: int = 16):
@@ -244,17 +245,30 @@ class QuadraticForm:
         self.panels_per_unit = panels_per_unit
         self.gl_points = gl_points
 
-    def _gram(self, s: float, dmat: np.ndarray) -> np.ndarray:
-        """Matrix ``E[phi_a'(Z_s) phi_b'(Z_s)]`` for derivative coeffs ``dmat``."""
-        if s == 0.0:
-            v = hermite_functions(np.zeros(1), self.basis.size)[0] @ dmat
-            return np.outer(v, v)
-        x, w, _ = _gh_rule(self.basis.quad_order)
-        y = x * np.sqrt(2.0 * s / (2.0 * s + 1.0))
-        p = hermite_polynomials(y, self.basis.size)
-        v = p @ dmat
-        g = (v * w[:, None]).T @ v
-        return g / np.sqrt(np.pi * (2.0 * s + 1.0))
+    def _gram_sums(self, s: np.ndarray, w: np.ndarray, dmat: np.ndarray) -> np.ndarray:
+        """Weighted Gram sums ``out[r] = sum_k w[k] G(s[r, k])``, shape ``(R, m, m)``.
+
+        ``G(s)`` is the matrix ``E[phi_a'(Z_s) phi_b'(Z_s)]`` for derivative
+        coeffs ``dmat`` (``N x m``) at a time ``s > 0``.  Nodes go in chunks of
+        about ``_GRAM_VALUES`` Hermite values and are added in ``k`` order from
+        zero, so every float equals a one-node-at-a-time loop.  No
+        ``(R, K, m, m)`` array is built: freeing one lifts the allocator's mmap
+        threshold, and with it the peak memory of the thread pools that follow.
+        """
+        x, wq, _ = _gh_rule(self.basis.quad_order)
+        (rows, cols), n_modes = s.shape, self.basis.size
+        nodes = max(1, _GRAM_VALUES // (x.size * n_modes))
+        row_step, col_step = max(1, nodes // cols), min(cols, nodes)
+        out = np.zeros((rows, dmat.shape[1], dmat.shape[1]))
+        for r in range(0, rows, row_step):
+            for k in range(0, cols, col_step):
+                t = s[r : r + row_step, k : k + col_step, None]
+                v = hermite_polynomials(x * np.sqrt(2.0 * t / (2.0 * t + 1.0)), n_modes) @ dmat
+                g = np.matmul((v * wq[:, None]).swapaxes(-1, -2), v)
+                g /= np.sqrt(np.pi * (2.0 * t[..., None] + 1.0))
+                for i, wi in enumerate(w[k : k + col_step]):
+                    out[r : r + row_step] += wi * g[:, i]
+        return out
 
     def _dmat(self, phis) -> np.ndarray:
         d = derivative_op(self.basis)
@@ -275,10 +289,7 @@ class QuadraticForm:
         dmat = self._dmat(phis)
         panels = max(1, int(np.ceil(t * self.panels_per_unit)))
         nodes, weights = _gl_composite(float(t), panels, self.gl_points)
-        out = np.zeros((m, m))
-        for s, w in zip(nodes, weights):
-            out += w * self._gram(float(s), dmat)
-        return out
+        return self._gram_sums(nodes[None], weights, dmat)[0]
 
     def variance(self, t: float, phi: TestFunction) -> float:
         """The variance function ``A(t, phi) = C(t; phi, phi)``."""
@@ -297,16 +308,9 @@ class QuadraticForm:
         by construction.
         """
         x, w = np.polynomial.legendre.leggauss(gl_points)
-        m = dmat.shape[1]
-        out = np.empty((grid.steps, m, m))
         half = grid.dt / 2.0
-        for j in range(grid.steps):
-            mid = (j + 0.5) * grid.dt
-            acc = np.zeros((m, m))
-            for xi, wi in zip(x, w):
-                acc += wi * self._gram(mid + half * xi, dmat)
-            out[j] = acc * half
-        return out
+        mid = (np.arange(grid.steps) + 0.5) * grid.dt
+        return self._gram_sums(mid[:, None] + half * x, w, dmat) * half
 
 
 def limit_variance(
@@ -332,15 +336,15 @@ def cross_covariance(
 def _sqrt_factors(increments: np.ndarray) -> np.ndarray:
     """Symmetric square roots of PSD increment matrices, with clipping.
 
-    Eigenvalues below ``-1e-8`` abort with :class:`NumericalIntegrityError`;
-    tiny negatives (round-off) are clipped to zero.
+    An eigenvalue below ``-1e-10`` times its matrix's largest aborts with
+    :class:`NumericalIntegrityError`; smaller negatives (round-off) are clipped.
     """
     vals, vecs = np.linalg.eigh(increments)
-    worst = float(vals.min())
-    if worst < -1e-8:
-        raise NumericalIntegrityError(
-            f"increment covariance has eigenvalue {worst:.3e} < -1e-8"
-        )
+    low, high = vals[..., 0], vals[..., -1]
+    bad = low < -1e-10 * high
+    if bad.any():
+        lo, hi = low[bad][0], high[bad][0]
+        raise NumericalIntegrityError(f"increment covariance eigenvalue {lo:.3e} < -1e-10 x {hi:.3e}")
     vals = np.clip(vals, 0.0, None)
     root = np.sqrt(vals)
     return np.einsum("...ik,...k,...jk->...ij", vecs, root, vecs)

@@ -91,3 +91,47 @@ def brute_force_dual_modulus(states, times, delta, r):
                 diff = s[j] - s[i]
                 best = max(best, float(np.sqrt(np.sum(diff * diff))))
     return best
+
+
+def gram_at(basis, s, dmat):
+    """``E[phi_a'(Z_s) phi_b'(Z_s)]`` at one time ``s > 0``, one node at a time.
+
+    This is the per-node loop body the batched kernel replaced.  It is a
+    bit-for-bit reference, so it reuses the package's recurrence and
+    Gauss-Hermite rule instead of an independent quadrature.
+    """
+    from nucleartight.hermite import _gh_rule, hermite_polynomials
+
+    x, w, _ = _gh_rule(basis.quad_order)
+    v = hermite_polynomials(x * np.sqrt(2.0 * s / (2.0 * s + 1.0)), basis.size) @ dmat
+    g = (v * w[:, None]).T @ v
+    return g / np.sqrt(np.pi * (2.0 * s + 1.0))
+
+
+def increment_covariances_per_node(basis, grid, dmat, gl_points=4):
+    """Per-step covariance increments with one ``gram_at`` call per node."""
+    x, w = np.polynomial.legendre.leggauss(gl_points)
+    m = dmat.shape[1]
+    out = np.empty((grid.steps, m, m))
+    half = grid.dt / 2.0
+    for j in range(grid.steps):
+        mid = (j + 0.5) * grid.dt
+        acc = np.zeros((m, m))
+        for xi, wi in zip(x, w):
+            acc += wi * gram_at(basis, mid + half * xi, dmat)
+        out[j] = acc * half
+    return out
+
+
+def covariance_matrix_per_node(basis, t, dmat, panels_per_unit=8, gl_points=16):
+    """``C(t)`` by composite Gauss-Legendre with one ``gram_at`` call per node."""
+    x, w = np.polynomial.legendre.leggauss(gl_points)
+    edges = np.linspace(0.0, t, max(1, int(np.ceil(t * panels_per_unit))) + 1)
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    out = np.zeros((dmat.shape[1],) * 2)
+    for s, ws in zip(nodes, weights):
+        out += ws * gram_at(basis, float(s), dmat)
+    return out

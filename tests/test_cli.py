@@ -189,6 +189,9 @@ BAD_BASE = {"basis": {"N": 16, "Q": 32}, "grid": {"T": 1.0, "J": 10}, "n_list": 
         ("clt", {"eta": {"kind": "zero"}}, "eta"),
         ("heat", {"command": "clt"}, "command"),
         ("clt", {"threads": "two"}, "threads"),
+        ("clt", {"reps": 3}, "reps"),
+        ("heat", {"calibration": {"reps": 1, "size": 1}}, "calibration.size"),
+        ("heat", {"calibration": {"reps": -1}}, "calibration.reps"),
     ],
 )
 def test_rejects_bad_config(tmp_path, capsys, command, override, field):
@@ -308,6 +311,18 @@ def test_numerical_integrity_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "heat_convergence_report", boom)
     assert run(["heat", "--config", "heat-smoke", "--out", str(tmp_path / "o")]) == 3
     assert "numerical-integrity" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def boom(cfg, threads, dump):
+        raise RuntimeError("synthetic defect")
+
+    monkeypatch.setitem(cli._RUNNERS, "clt", boom)
+    out = tmp_path / "o"
+    assert run(["clt", "--config", "clt-smoke", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "internal error:" in err and "Traceback" in err and "synthetic defect" in err
+    assert not (out / "report.json").exists()
 
 
 def test_gate_failure_exit_code(tmp_path, monkeypatch):

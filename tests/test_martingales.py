@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from nucleartight.hermite import BasisSpec, TestFunction
+from nucleartight import martingales
+from nucleartight.hermite import BasisSpec, TestFunction, derivative_op
 from nucleartight.martingales import (
     NumericalIntegrityError,
     QuadraticForm,
@@ -142,6 +143,57 @@ def test_increment_covariances_positive_semidefinite(basis, h0):
     assert eigenvalues.min() > -1e-12
 
 
+def _derivative_columns(basis, modes):
+    rng = np.random.default_rng(modes)
+    return derivative_op(basis) @ rng.standard_normal((basis.size, modes))
+
+
+def _chunk_nodes(monkeypatch, basis, nodes):
+    """Make the Gram kernel evaluate ``nodes`` quadrature nodes per chunk."""
+    if nodes is not None:
+        monkeypatch.setattr(martingales, "_GRAM_VALUES", nodes * basis.quad_order * basis.size)
+
+
+# with BasisSpec(16, 32) the kernel's own chunk is 250_000 // 512 = 488 nodes
+@pytest.mark.parametrize("modes", [1, 3, 16])
+@pytest.mark.parametrize(
+    "steps, gl_points, nodes",
+    [(1, 4, None), (1, 2, 5), (300, 4, None), (300, 2, None), (7, 2, 5), (6, 4, 3)],
+    ids=[
+        "J1",
+        "J1-gl2",
+        "122-step-chunks",  # 300 = 122 + 122 + 56 steps
+        "244-step-chunks",  # 300 = 244 + 56 steps
+        "last-chunk-one-step",  # 7 = 2 + 2 + 2 + 1 steps
+        "last-chunk-one-node",  # each step's 4 nodes go as 3 + 1
+    ],
+)
+def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, steps, gl_points, nodes):
+    _chunk_nodes(monkeypatch, basis, nodes)
+    dmat = _derivative_columns(basis, modes)
+    grid = TimeGrid(1.0, steps)
+    got = QuadraticForm(basis).increment_covariances(grid, dmat, gl_points)
+    want = oracles.increment_covariances_per_node(basis, grid, dmat, gl_points)
+    assert got.shape == (steps, modes, modes)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("modes", [1, 3, 16])
+@pytest.mark.parametrize(
+    "t, nodes",
+    [(0.1, 5), (1.0, 5), (1.0, None), (6.2, None)],
+    # 1 panel x 16 points = 5 + 5 + 5 + 1 nodes; 50 panels x 16 points = 488 + 312
+    ids=["last-chunk-one-node", "5-node-chunks", "one-chunk", "488-node-chunks"],
+)
+def test_covariance_matrix_matches_per_node_loop(basis, monkeypatch, modes, t, nodes):
+    _chunk_nodes(monkeypatch, basis, nodes)
+    rng = np.random.default_rng(modes)
+    phis = [TestFunction(basis, rng.standard_normal(basis.size)) for _ in range(modes)]
+    form = QuadraticForm(basis)
+    want = oracles.covariance_matrix_per_node(basis, t, form._dmat(phis))
+    assert np.array_equal(form.covariance_matrix(t, phis), want)
+
+
 def test_qv_variance_shrinks_with_n(basis, h0):
     grid = TimeGrid(1.0, 200)
     out = {}
@@ -268,6 +320,24 @@ def test_sqrt_factors_integrity():
     assert np.allclose(f2[0] @ f2[0].T, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
     with pytest.raises(NumericalIntegrityError):
         _sqrt_factors(np.array([[1.0, 0.0], [0.0, -1e-6]])[None])
+
+
+def test_sqrt_factors_threshold_scales_with_each_matrix():
+    # -1e-14 is tiny in absolute terms but 1% of this matrix's scale
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    tiny = rot @ np.diag([1e-12, -1e-14]) @ rot.T
+    with pytest.raises(NumericalIntegrityError):
+        _sqrt_factors(np.stack([np.eye(2), tiny]))
+
+
+@pytest.mark.parametrize("negative", [-1e-9, -1e-7])
+def test_sqrt_factors_clips_round_off_of_large_matrices(negative):
+    # against a largest eigenvalue of 1e6 these are round-off, not a defect
+    big = np.diag([1e6, negative])
+    f = _sqrt_factors(np.stack([big, np.eye(2)]))
+    assert np.allclose(f[0] @ f[0].T, np.diag([1e6, 0.0]))
+    assert np.array_equal(f[0][1], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
