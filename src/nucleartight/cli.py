@@ -183,11 +183,13 @@ def _require(ok: bool, field: str, message: str) -> None:
 
 
 def _int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and value >= low
+    """A JSON integer (not a bool) ``>= low``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and bool(np.isfinite(value))
+    """A finite JSON number (not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 def materialize(command: str, cfg: dict) -> dict:
@@ -195,25 +197,39 @@ def materialize(command: str, cfg: dict) -> dict:
     _require(cfg.get("command", command) == command, "command", f"must be {command!r}")
     merged = _merge(_DEFAULTS[command], {k: v for k, v in cfg.items() if k != "threads"})
     merged["command"] = command
+    for key in ("N", "Q"):
+        _require(_int_at_least(merged["basis"][key], 1), f"basis.{key}", "must be a positive integer")
     try:
         basis = _basis_from(merged)
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"field basis: {exc}") from exc
-    if command != "basis-check":
+    if command == "basis-check":
+        _require(_int_at_least(merged["hs"]["n_terms"], 1), "hs.n_terms", "must be an integer >= 1")
+        _require(_int_at_least(merged["random_pairs"], 0), "random_pairs", "must be an integer >= 0")
+    else:
+        _require(_finite(merged["grid"]["T"]), "grid.T", "must be a finite number")
+        _require(_int_at_least(merged["grid"]["J"], 1), "grid.J", "must be an integer >= 1")
         try:
             grid = _grid_from(merged)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"field grid: {exc}") from exc
-        deltas = merged["tightness"].get("deltas")
+        tight = merged["tightness"]
+        deltas = tight.get("deltas")
         _require(
-            isinstance(deltas, list)
-            and all(isinstance(d, (int, float)) and 0.0 < d <= grid.horizon for d in deltas),
+            isinstance(deltas, list) and all(_finite(d) and 0.0 < d <= grid.horizon for d in deltas),
             "tightness.deltas",
             f"must be a list of time gaps in (0, T = {grid.horizon}]",
         )
+        _require(_finite(tight["r"]) and tight["r"] >= 0, "tightness.r", "must be a finite number >= 0")
+        levels = tight["c_levels"]
+        _require(
+            isinstance(levels, list) and all(map(_finite, levels)),
+            "tightness.c_levels",
+            "must be a list of finite numbers",
+        )
         n_list = merged["n_list"]
         _require(
-            isinstance(n_list, list) and n_list and all(isinstance(n, int) and n >= 1 for n in n_list),
+            isinstance(n_list, list) and n_list and all(_int_at_least(n, 1) for n in n_list),
             "n_list",
             "must be a nonempty list of particle counts >= 1",
         )
@@ -224,7 +240,7 @@ def materialize(command: str, cfg: dict) -> dict:
         if command == "heat":
             modes, cal = merged["limit_modes"], merged["calibration"]
             _require(
-                isinstance(modes, int) and 1 <= modes <= basis.size,
+                _int_at_least(modes, 1) and modes <= basis.size,
                 "limit_modes",
                 f"must be an integer in [1, basis.N = {basis.size}]",
             )
@@ -235,14 +251,16 @@ def materialize(command: str, cfg: dict) -> dict:
                 "calibration.steps",
                 "must be null or a positive integer",
             )
+            gate = merged["residual_gate_factor"]
+            _require(_finite(gate) and gate > 0, "residual_gate_factor", "must be a finite number > 0")
+        if command == "tightness":
+            q, ratio = merged["quantile"], merged["gate_ratio"]
+            _require(_finite(q) and 0.0 <= q <= 1.0, "quantile", "must be a number in [0, 1]")
+            _require(_finite(ratio) and ratio > 0, "gate_ratio", "must be a finite number > 0")
         # the energy-distance standard error needs two blocks of two per sample
         low = 2 if command == "tightness" else 4
         _require(_int_at_least(merged["reps"], low), "reps", f"must be an integer >= {low}")
-    _require(
-        isinstance(merged.get("seed"), int) and merged["seed"] >= 0,
-        "seed",
-        "must be a nonnegative integer",
-    )
+    _require(_int_at_least(merged.get("seed"), 0), "seed", "must be a nonnegative integer")
     return merged
 
 
@@ -251,17 +269,16 @@ def _check_cells(cfg: dict, basis: BasisSpec, grid: TimeGrid) -> None:
     _require(isinstance(times, list) and times, "times", "must be a nonempty list")
     for t in times:
         try:
-            grid.index_of(float(t))
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(
-                f"field times: {t!r} is not a node of the grid (T = {grid.horizon}, J = {grid.steps})"
-            ) from None
+            ok = _finite(t) and grid.index_of(float(t)) >= 0
+        except (ValueError, OverflowError):
+            ok = False
+        _require(ok, "times", f"{t!r} is not a node of the grid (T = {grid.horizon}, J = {grid.steps})")
     _require(isinstance(phi_list, list) and phi_list, "phi_list", "must be a nonempty list")
     for i, coeffs in enumerate(phi_list):
         _require(
-            isinstance(coeffs, list) and len(coeffs) <= basis.size,
+            isinstance(coeffs, list) and len(coeffs) <= basis.size and all(map(_finite, coeffs)),
             f"phi_list[{i}]",
-            f"must be a coefficient list with at most basis.N = {basis.size} entries",
+            f"must be a list of at most basis.N = {basis.size} finite numbers",
         )
 
 
@@ -547,7 +564,7 @@ def main(argv=None) -> int:
                 raise ConfigError("field seed: must be a nonnegative integer")
             cfg["seed"] = args.seed
         threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-        _require(isinstance(threads, int), "threads", "must be an integer")
+        _require(type(threads) is int, "threads", "must be an integer")
         report, ok, extras = run_command(
             args.command, cfg, threads=max(1, int(threads)), dump=args.dump_paths
         )

@@ -185,32 +185,40 @@ def _index_value(r) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hermite_modes_first(x: np.ndarray, count: int, gaussian: bool = True) -> np.ndarray:
-    """Recurrence workhorse; shape ``(count,) + x.shape``, contiguous writes.
+def _hermite_modes(x: np.ndarray, count: int, gaussian: bool = True):
+    """Yield ``h_0(x), ..., h_{count-1}(x)`` one mode at a time by the recurrence
 
-    With ``gaussian=False`` the Gaussian factor is left out, which gives the
-    orthonormalized polynomials ``p_k = h_k exp(x^2/2)``.
+        h_k(x) = (x sqrt(2/k)) h_{k-1}(x) - sqrt((k-1)/k) h_{k-2}(x),
+
+    which is stable and overflow-free because |h_k| <= 0.816 for all k, x.
+    Mode ``k`` overwrites mode ``k - 2`` in one of two buffers, so a yielded
+    mode is valid until the next step.  ``gaussian=False`` leaves out the
+    Gaussian factor, giving the orthonormalized polynomials ``p_k = h_k exp(x^2/2)``.
     """
-    out = np.empty((count,) + x.shape)
-    out[0] = np.pi ** -0.25 * (np.exp(-0.5 * x * x) if gaussian else 1.0)
-    if count == 1:
-        return out
-    np.multiply(np.sqrt(2.0) * x, out[0], out=out[1])
-    for k in range(1, count - 1):
-        np.multiply(np.sqrt(2.0 / (k + 1)) * x, out[k], out=out[k + 1])
-        out[k + 1] -= np.sqrt(k / (k + 1.0)) * out[k - 1]
+    x = np.asarray(x, dtype=float, order="C")  # strided input defeats loop fusion
+    bufs, tmp = np.zeros((2,) + x.shape), np.empty(x.shape)  # bufs[1] holds h_{-1} = 0
+    for k in range(count):
+        h = bufs[k % 2, ...]  # a view, also for 0-d x
+        if k == 0:
+            h[...] = np.pi ** -0.25 * (np.exp(-0.5 * x * x) if gaussian else 1.0)
+        else:
+            np.multiply(x, np.sqrt(2.0 / k), out=tmp)
+            tmp *= bufs[1 - k % 2, ...]
+            h *= np.sqrt((k - 1) / k)
+            np.subtract(tmp, h, out=h)
+        yield h
+
+
+def _hermite_modes_first(x: np.ndarray, count: int, gaussian: bool = True) -> np.ndarray:
+    """All modes of :func:`_hermite_modes` in one ``(count,) + x.shape`` array."""
+    out = np.empty((count,) + np.shape(x))
+    for k, h in enumerate(_hermite_modes(x, count, gaussian)):
+        out[k] = h
     return out
 
 
 def hermite_functions(x, count: int) -> np.ndarray:
-    """Values ``h_k(x)`` for ``k < count``; shape ``x.shape + (count,)``.
-
-    Uses the three-term recurrence on the orthonormal functions themselves,
-
-        h_{k+1}(x) = sqrt(2/(k+1)) x h_k(x) - sqrt(k/(k+1)) h_{k-1}(x),
-
-    which is stable and overflow-free because |h_k| <= 0.816 for all k, x.
-    """
+    """``h_k(x)`` for ``k < count``, shape ``x.shape + (count,)``; see :func:`_hermite_modes`."""
     x = np.asarray(x, dtype=float)
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -231,14 +239,16 @@ def hermite_polynomials(x, count: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(_hermite_modes_first(x, count, gaussian=False), 0, -1))
 
 
+def _span(coeffs: np.ndarray) -> int:
+    """Number of modes up to the last nonzero coefficient (0 if all are zero)."""
+    nz = np.nonzero(coeffs)[0]
+    return int(nz[-1]) + 1 if nz.size else 0
+
+
 def eval_series(coeffs, x) -> np.ndarray:
     """Evaluate ``sum_k coeffs[k] h_k(x)``; trailing zeros are skipped."""
     c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        return np.zeros(np.shape(x))
-    top = int(nz[-1]) + 1
-    x = np.asarray(x, dtype=float)
+    top = _span(c)  # all zero: an empty contraction, exact zeros
     return np.tensordot(c[:top], _hermite_modes_first(x, top), axes=(0, 0))
 
 

@@ -39,10 +39,11 @@ from .hermite import (
     BasisSpec,
     TestFunction,
     derivative_op,
-    eval_series,
     hermite_polynomials,
     _gh_rule,
+    _hermite_modes,
     _hermite_modes_first,
+    _span,
 )
 from .paths import (
     ScalarPath,
@@ -135,16 +136,18 @@ def _derivative_coeffs(phi: TestFunction) -> np.ndarray:
     return derivative_op(phi.basis) @ phi.coeffs
 
 
-def _mn_qv_steps(dcoef: np.ndarray, particles: ParticleEnsemble):
+def _mn_qv_steps(dcoef: np.ndarray, particles: ParticleEnsemble, modes=None):
     """Per-step martingale and quadratic-variation increments.
 
     Returns ``(mn_steps, qv_steps)``, each of shape ``(steps,)``:
     left-point evaluation of phi' along each particle, paired with the
     particle's forward increment (martingale) or squared and scaled by dt
-    (quadratic variation).
+    (quadratic variation).  ``modes`` kept by :func:`_mn_dual_states` spare a recurrence.
     """
-    left = particles.positions()[:, :-1]
-    vals = eval_series(dcoef, left)
+    top = _span(dcoef)
+    if modes is None:
+        modes = _hermite_modes_first(particles.positions()[:, :-1], top)
+    vals = np.tensordot(dcoef[:top], modes[:top], axes=(0, 0))
     root_n = np.sqrt(particles.count)
     mn_steps = (vals * particles.increments).sum(axis=0) / root_n
     qv_steps = (vals * vals).sum(axis=0) * (particles.grid.dt / particles.count)
@@ -172,29 +175,39 @@ def quadratic_variation_path(
     return ScalarPath(particles.grid, _cumulative(qv_steps))
 
 
-def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec) -> np.ndarray:
+# values per (particles, block) mode buffer of _mn_dual_states (512 kB); smaller
+# blocks run faster on one thread but stall two pool threads on the GIL
+_DRIVER_VALUES = 65_536
+
+
+def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0):
     """Coordinate paths ``M_t(h_k)`` for all ``k < basis.size`` at once.
 
     Shares the particle realization across coordinates and applies the same
     truncated derivative ladder as the scalar path, so projecting the result
     onto any test function in the span reproduces the scalar Euler sum.
+    Returns ``(states, modes)``: states of shape ``(steps + 1, size)`` and
+    the first ``keep`` Hermite modes at the left points, ``(keep, count, steps)``.
     """
     n_modes = basis.size
     grid = particles.grid
     left = particles.positions()[:, :-1]
     inc = particles.increments
     root_n = np.sqrt(particles.count)
+    modes = np.empty((keep,) + left.shape)
     dmn = np.zeros((grid.steps, n_modes))
     ladder = np.sqrt(np.arange(1, n_modes) / 2.0)[:, None]
-    # block over time steps to bound the (modes, particles, block) workspace
-    block = max(1, int(2_000_000 // max(1, particles.count * n_modes)))
+    block = max(1, _DRIVER_VALUES // particles.count)
     for a in range(0, grid.steps, block):
         b = min(a + block, grid.steps)
-        h = _hermite_modes_first(left[:, a:b], n_modes)
-        # contract particles first, then apply the derivative ladder
+        # contract particles mode by mode as the recurrence yields them,
+        # s[k, j] = sum_i h_k(B^i_j) dB^i_j, then apply the derivative ladder
         # h'_k = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1} (truncated at the top)
-        # to the per-mode sums s[k, j] = sum_i h_k(B^i_j) dB^i_j
-        s = np.einsum("kij,ij->kj", h, inc[:, a:b])
+        s = np.empty((n_modes, b - a))
+        for k, h in enumerate(_hermite_modes(left[:, a:b], n_modes)):
+            np.einsum("ij,ij->j", h, inc[:, a:b], out=s[k])
+            if k < keep:
+                modes[k, :, a:b] = h
         contrib = np.zeros((n_modes, b - a))
         contrib[1:] = ladder * s[:-1]
         contrib[: n_modes - 1] -= ladder * s[1:]
@@ -202,7 +215,7 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec) -> np.ndarray
     states = np.empty((grid.steps + 1, n_modes))
     states[0] = 0.0
     np.cumsum(dmn, axis=0, out=states[1:])
-    return states
+    return states, modes
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +413,7 @@ def simulate_limit(
 
 
 def _phi_label(phi: TestFunction) -> list:
-    return [float(c) for c in phi.coeffs[: _top_mode(phi) + 1]]
-
-
-def _top_mode(phi: TestFunction) -> int:
-    nz = np.nonzero(phi.coeffs)[0]
-    return int(nz[-1]) if nz.size else 0
+    return [float(c) for c in phi.coeffs[: max(_span(phi.coeffs), 1)]]
 
 
 def clt_report(
@@ -454,6 +462,7 @@ def clt_report(
     )
 
     dcoefs = [_derivative_coeffs(phi) for phi in phis]
+    keep = max(_span(dcoef) for dcoef in dcoefs)  # modes every phi' needs
     deltas = [float(d) for d in tightness_deltas]
     levels = [float(c) for c in tightness_levels]
 
@@ -463,15 +472,13 @@ def clt_report(
 
         def one_rep(rep, n=n):
             particles = simulate_particles(n, grid, seed, stream_id=rep)
+            states, modes = _mn_dual_states(particles, basis, keep)
             mn = np.empty((len(phis), len(times)))
             qv = np.empty((len(phis), len(times)))
             for a, dcoef in enumerate(dcoefs):
-                mn_steps, qv_steps = _mn_qv_steps(dcoef, particles)
-                mn_path = _cumulative(mn_steps)
-                qv_path = _cumulative(qv_steps)
-                mn[a] = mn_path[t_idx]
-                qv[a] = qv_path[t_idx]
-            states = _mn_dual_states(particles, basis)
+                mn_steps, qv_steps = _mn_qv_steps(dcoef, particles, modes)
+                mn[a] = _cumulative(mn_steps)[t_idx]
+                qv[a] = _cumulative(qv_steps)[t_idx]
             sup, mods = dual_path_stats(states, grid, deltas, tightness_index)
             full = states if collect_paths else None
             return mn, qv, sup, mods, full

@@ -70,7 +70,7 @@ def mn_dual_path(particles: ParticleEnsemble, basis: BasisSpec) -> DualPath:
     Coordinate ``k`` at each node equals the scalar Euler sum against the
     ``k``-th basis function, all computed from the same particle realization.
     """
-    return DualPath(particles.grid, basis, _mn_dual_states(particles, basis))
+    return DualPath(particles.grid, basis, _mn_dual_states(particles, basis)[0])
 
 
 def sample_initial(
@@ -242,7 +242,7 @@ class _HeatSolver:
     def particle(self, n: int, rep: int):
         """``(driver, eta, solution)`` of repetition ``rep`` with ``n`` particles."""
         particles = simulate_particles(n, self.grid, self.seed, stream_id=rep)
-        driver = _mn_dual_states(particles, self.basis)
+        driver = _mn_dual_states(particles, self.basis)[0]
         eta = self.initial("initial", rep)
         return driver, eta, self.solve(driver, eta)
 

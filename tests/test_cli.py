@@ -19,6 +19,7 @@ GOLDEN_HASHES = {
     "heat-gaussian": "b5814516c68e05ad2f6066c30f9f606796e2efcafd37302adb38698813c714de",
     "heat-fixed": "cc0a0503f75cf3d244bdaa982c211a86c917cebccec162fca17167770389284e",
     "tightness-gaussian": "ca906d2dbe5b4597a1dcf35d8622c4f6e8afbdb71b67ed1ee9bce37cad7b940e",
+    "clt-edge": "644e09d30311a0855f2635ddc9de295cf75ec94504dc04915ec5b439d9439c13",
 }
 
 # sha256 of the heat-smoke ``--dump-paths`` files
@@ -28,7 +29,9 @@ DUMP_HASHES = {
 }
 
 # configs the smoke scenarios leave out: gaussian and fixed-coeffs initial
-# states, two test functions, and a calibration grid coarser than the main one
+# states, two test functions, a calibration grid coarser than the main one,
+# and clt test functions at the edges of the shared Hermite pass (a zero phi
+# with degenerate cells, and a phi' whose top mode is N - 1)
 GOLDEN_CONFIGS = {
     "heat-gaussian": (
         "heat",
@@ -70,6 +73,18 @@ GOLDEN_CONFIGS = {
             "eta": {"kind": "gaussian", "r": 0.75, "scale": 2.0},
             "quantile": 0.9,
             "tightness": {"r": 1.0, "c_levels": [0.5, 2.0], "deltas": [0.05, 0.5]},
+        },
+    ),
+    "clt-edge": (
+        "clt",
+        {
+            "basis": {"N": 8, "Q": 16},
+            "grid": {"T": 1.0, "J": 40},
+            "n_list": [3, 8],
+            "reps": 16,
+            "phi_list": [[0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0], [1.0, 0.0, 0.5]],
+            "times": [0.5, 1.0],
+            "tightness": {"r": 1.0, "c_levels": [0.5, 1.0], "deltas": [0.05, 0.2]},
         },
     ),
 }
@@ -148,6 +163,9 @@ def test_rejects_bad_fields(tmp_path):
     assert run(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, "seed": -4}))
     assert run(["basis-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    for field in ({"hs": {"n_terms": 0}}, {"random_pairs": 2.5}):
+        cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, **field}))
+        assert run(["basis-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("command", ["clt", "tightness"])
@@ -192,6 +210,22 @@ BAD_BASE = {"basis": {"N": 16, "Q": 32}, "grid": {"T": 1.0, "J": 10}, "n_list": 
         ("clt", {"reps": 3}, "reps"),
         ("heat", {"calibration": {"reps": 1, "size": 1}}, "calibration.size"),
         ("heat", {"calibration": {"reps": -1}}, "calibration.reps"),
+        ("clt", {"phi_list": [["a"]]}, "phi_list[0]"),
+        ("heat", {"phi_list": [[1.0], [float("nan")]]}, "phi_list[1]"),
+        ("tightness", {"tightness": {"r": -1}}, "tightness.r"),
+        ("clt", {"tightness": {"c_levels": "x"}}, "tightness.c_levels"),
+        ("tightness", {"quantile": 1.5}, "quantile"),
+        ("tightness", {"gate_ratio": "big"}, "gate_ratio"),
+        ("heat", {"residual_gate_factor": 0.0}, "residual_gate_factor"),
+        ("clt", {"basis": {"N": 8.7, "Q": 32}}, "basis.N"),
+        ("heat", {"basis": {"N": 16, "Q": 32.0}}, "basis.Q"),
+        ("tightness", {"grid": {"T": 1.0, "J": 10.9}}, "grid.J"),
+        ("tightness", {"seed": True}, "seed"),
+        ("tightness", {"n_list": [True]}, "n_list"),
+        ("heat", {"limit_modes": 4.0}, "limit_modes"),
+        ("heat", {"calibration": {"reps": True}}, "calibration.reps"),
+        ("tightness", {"reps": 4.0}, "reps"),
+        ("clt", {"times": ["0.5"]}, "times"),
     ],
 )
 def test_rejects_bad_config(tmp_path, capsys, command, override, field):

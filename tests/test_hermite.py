@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+import oracles
 from nucleartight.hermite import (
     BasisSpec,
     DualElement,
@@ -25,6 +26,8 @@ from nucleartight.hermite import (
     reconstruct,
     seminorm,
     write_matrix_csv,
+    _hermite_modes,
+    _hermite_modes_first,
 )
 
 from conftest import unit_function
@@ -41,6 +44,27 @@ def test_basis_spec_validation():
     with pytest.raises(ValueError):
         BasisSpec(8, 15)
     BasisSpec(2, 4)
+
+
+# x shapes of the callers: quadrature nodes, the (particles, steps)
+# left points of the drivers (a strided view of the positions), and the
+# (rows, nodes, Q) node array of the limit-covariance kernel
+_SHAPES = {
+    "nodes": lambda rng: rng.normal(scale=4.0, size=7),
+    "left-points": lambda rng: rng.normal(scale=4.0, size=(5, 41))[:, 3:30],
+    "gram-chunk": lambda rng: rng.normal(scale=4.0, size=(2, 4, 16)),
+}
+
+
+@pytest.mark.parametrize("gaussian", [True, False])
+@pytest.mark.parametrize("count", [1, 2, 64])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_streamed_recurrence_matches_whole_array(gaussian, count, shape):
+    x = _SHAPES[shape](np.random.default_rng(count))
+    want = oracles.hermite_modes_full(x, count, gaussian)
+    assert np.array_equal(_hermite_modes_first(x, count, gaussian), want)
+    streamed = np.array([h.copy() for h in _hermite_modes(x, count, gaussian)])
+    assert np.array_equal(streamed, want)
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (16, 32), (64, 128), (128, 256)])

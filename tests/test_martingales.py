@@ -194,6 +194,60 @@ def test_covariance_matrix_matches_per_node_loop(basis, monkeypatch, modes, t, n
     assert np.array_equal(form.covariance_matrix(t, phis), want)
 
 
+@pytest.mark.parametrize("size", [2, 64])
+@pytest.mark.parametrize("keep", [0, 1, None], ids=["keep0", "keep1", "keepN"])
+@pytest.mark.parametrize(
+    "count, steps, block",
+    [(5, 30, None), (3, 30, 7), (4, 29, 7), (6, 1, None), (100, 800, None)],
+    ids=[
+        "one-block",
+        "7-step-blocks",  # 30 = 7 + 7 + 7 + 7 + 2 steps
+        "last-block-one-step",  # 29 = 7 + 7 + 7 + 7 + 1 steps
+        "J1",
+        "n100-J800",  # the driver's own blocks: 800 = 655 + 145 steps
+    ],
+)
+def test_driver_matches_full_tensor(monkeypatch, size, keep, count, steps, block):
+    if block is not None:
+        monkeypatch.setattr(martingales, "_DRIVER_VALUES", count * block)
+    basis = BasisSpec(size, 2 * size)
+    keep = size if keep is None else keep
+    particles = simulate_particles(count, TimeGrid(1.0, steps), 11, stream_id=size)
+    states, modes = martingales._mn_dual_states(particles, basis, keep)
+    assert np.array_equal(states, oracles.mn_dual_states_full(particles, basis))
+    want = oracles.hermite_modes_full(particles.positions()[:, :-1], size)[:keep]
+    assert modes.shape == (keep, count, steps)
+    assert np.array_equal(modes, want)
+
+
+@pytest.mark.parametrize("keep", ["span", "all"])
+@pytest.mark.parametrize(
+    "coeffs",
+    [[0.0], [1.0], [0.0, 1.0, 0.5], [0.0] * 14 + [0.5, 1.0]],
+    ids=["zero", "h0", "mixed", "top"],  # "top": phi' reaches mode N - 1
+)
+def test_qv_steps_from_kept_modes(basis, keep, coeffs):
+    particles = simulate_particles(6, TimeGrid(1.0, 40), 5, stream_id=2)
+    c = np.zeros(basis.size)
+    c[: len(coeffs)] = coeffs
+    phi = TestFunction(basis, c)
+    dcoef = derivative_op(basis) @ c
+    top = martingales._span(dcoef)
+    _, modes = martingales._mn_dual_states(particles, basis, top if keep == "span" else basis.size)
+    mn, qv = martingales._mn_qv_steps(dcoef, particles, modes)
+    want_mn, want_qv = martingales._mn_qv_steps(dcoef, particles)
+    assert np.array_equal(mn, want_mn) and np.array_equal(qv, want_qv)
+    # the scalar paths keep the whole-array recurrence's bits
+    left = particles.positions()[:, :-1]
+    vals = np.zeros(left.shape)
+    if top:
+        vals = np.tensordot(dcoef[:top], oracles.hermite_modes_full(left, top), axes=(0, 0))
+    mn_steps = (vals * particles.increments).sum(axis=0) / np.sqrt(6)
+    qv_steps = (vals * vals).sum(axis=0) * (particles.grid.dt / 6)
+    for path, steps in ((mn_scalar_path, mn_steps), (quadratic_variation_path, qv_steps)):
+        assert np.array_equal(path(phi, particles).values, np.concatenate([[0.0], np.cumsum(steps)]))
+
+
 def test_qv_variance_shrinks_with_n(basis, h0):
     grid = TimeGrid(1.0, 200)
     out = {}
