@@ -54,5 +54,5 @@ ks = ks_one_sample(terminal / np.sqrt(target), ndtr)
 print(f"KS against standard normal: {ks.statistic:.4f} (1% critical {ks.critical_1:.4f})")
 
 print("\n== the limit family, sampled from its covariance ==")
-ens = simulate_limit([h0], grid, 4000, SEED)[0]
-print(f"sampled limit variance at t=1: {ens.values[:, -1].var(ddof=1):.5f}")
+states = simulate_limit([h0], grid, 4000, SEED)
+print(f"sampled limit variance at t=1: {states[:, -1, 0].var(ddof=1):.5f}")

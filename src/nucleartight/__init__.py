@@ -26,14 +26,11 @@ from .hermite import (
     project_function,
     quadrature_nodes,
     quadrature_weights,
-    reconstruct,
     seminorm,
 )
 from .paths import (
     DualPath,
-    DualPathEnsemble,
     ScalarPath,
-    ScalarPathEnsemble,
     TimeGrid,
     dual_path_stats,
     modulus_dual,
@@ -44,7 +41,6 @@ from .martingales import (
     ParticleEnsemble,
     QuadraticForm,
     clt_report,
-    cross_covariance,
     limit_variance,
     mn_scalar_path,
     quadratic_variation_path,

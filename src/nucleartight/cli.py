@@ -50,7 +50,7 @@ from .hermite import (
     write_matrix_csv,
 )
 from .martingales import NumericalIntegrityError, clt_report
-from .paths import DualPathEnsemble, TimeGrid, write_dual_paths_csv
+from .paths import TimeGrid, write_dual_paths_csv
 from .rng import stream
 from .spde import heat_convergence_report, tightness_report
 
@@ -206,6 +206,7 @@ def materialize(command: str, cfg: dict) -> dict:
     if command == "basis-check":
         _require(_int_at_least(merged["hs"]["n_terms"], 1), "hs.n_terms", "must be an integer >= 1")
         _require(_int_at_least(merged["random_pairs"], 0), "random_pairs", "must be an integer >= 0")
+        _check_basis_fields(merged)
     else:
         _require(_finite(merged["grid"]["T"]), "grid.T", "must be a finite number")
         _require(_int_at_least(merged["grid"]["J"], 1), "grid.J", "must be an integer >= 1")
@@ -262,6 +263,24 @@ def materialize(command: str, cfg: dict) -> dict:
         _require(_int_at_least(merged["reps"], low), "reps", f"must be an integer >= {low}")
     _require(_int_at_least(merged.get("seed"), 0), "seed", "must be a nonnegative integer")
     return merged
+
+
+def _nonnegatives(value, length: int) -> bool:
+    """A list of at least ``length`` finite numbers ``>= 0``."""
+    return isinstance(value, list) and len(value) >= length and all(_finite(v) and v >= 0 for v in value)
+
+
+def _check_basis_fields(cfg: dict) -> None:
+    """The heat times, seminorm ladder and Hilbert-Schmidt pairs of basis-check."""
+    _require(_nonnegatives(cfg["heat_times"], 2), "heat_times", "must hold at least two finite numbers >= 0")
+    family = cfg["seminorm_family"]
+    gaps_ok = _nonnegatives(family, 2) and all(b - a > 0.5 for a, b in zip(family, family[1:]))
+    _require(gaps_ok, "seminorm_family", "must hold at least two finite numbers >= 0 with gaps > 1/2")
+    pairs = cfg["hs"]["pairs"]
+    pairs_ok = isinstance(pairs, list) and all(
+        _nonnegatives(p, 2) and len(p) == 2 and p[0] < p[1] for p in pairs
+    )
+    _require(pairs_ok, "hs.pairs", "must be a list of [r, s] pairs of finite numbers with 0 <= r < s")
 
 
 def _check_cells(cfg: dict, basis: BasisSpec, grid: TimeGrid) -> None:
@@ -388,9 +407,9 @@ def _run_basis_check(cfg: dict):
 
     family = SeminormFamily(tuple(float(r) for r in cfg["seminorm_family"]))
     n_terms = int(cfg["hs"]["n_terms"])
-    for lo, hi in zip(family.indices[:-1], family.indices[1:]):
-        value = hs_norm(lo, hi, n_terms)
-        checks.append(_check(f"hs_finite[{lo},{hi}]", value, np.sqrt(1.0 + hs_tail_bound(lo, hi, 1)), False))
+    rungs = zip(family.indices[:-1], family.indices[1:])
+    for (lo, hi), value in zip(rungs, family.inclusion_norms(n_terms)):
+        checks.append(_check(f"hs_finite[{lo},{hi}]", value, np.sqrt(1.0 + hs_tail_bound(lo, hi, 1))))
     hs_cells = []
     for r, s in cfg["hs"]["pairs"]:
         converges = hs_inclusion_converges(r, s)
@@ -523,18 +542,9 @@ def _dump_paths(command: str, cfg: dict, extras: dict, out_dir: Path) -> None:
             heat_matrix(float(cfg["heat_times"][-1]), basis), cell_dir / "heat.csv"
         )
         return
-    paths = extras.get("paths") or {}
-    if not paths:
-        return
-    basis = _basis_from(cfg)
-    grid = _grid_from(cfg)
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    for key, states_list in paths.items():
-        states = np.array([s for s in states_list if s is not None])
-        if states.size == 0:
-            continue
-        ens = DualPathEnsemble(grid, basis, states, {"seed": cfg["seed"]})
-        write_dual_paths_csv(ens, cell_dir / f"{command}-{key}-dual.csv")
+    for key, states_list in (extras.get("paths") or {}).items():
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        write_dual_paths_csv(np.array(states_list), cell_dir / f"{command}-{key}-dual.csv")
 
 
 def main(argv=None) -> int:

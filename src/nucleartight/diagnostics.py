@@ -46,10 +46,6 @@ class KsResult:
     critical_1: float
 
     @property
-    def reject_5(self) -> bool:
-        return self.statistic > self.critical_5
-
-    @property
     def reject_1(self) -> bool:
         return self.statistic > self.critical_1
 

@@ -44,7 +44,6 @@ __all__ = [
     "quadrature_nodes",
     "quadrature_weights",
     "project_function",
-    "reconstruct",
     "eval_series",
     "derivative_op",
     "laplacian_op",
@@ -287,8 +286,8 @@ def project_function(samples, basis: BasisSpec) -> TestFunction:
     """Project node samples onto the basis: ``c_k = int phi h_k`` by quadrature.
 
     ``samples`` must hold the values of the target function at
-    :func:`quadrature_nodes`.  Reconstruction at the nodes reproduces the
-    input up to quadrature error.
+    :func:`quadrature_nodes`.  Evaluating the result at the nodes reproduces
+    the input up to quadrature error.
     """
     s = np.asarray(samples, dtype=float)
     if s.shape != (basis.quad_order,):
@@ -300,11 +299,6 @@ def project_function(samples, basis: BasisSpec) -> TestFunction:
     w_mod = quadrature_weights(basis)
     coeffs = _basis_at_nodes(basis).T @ (w_mod * s)
     return TestFunction(basis, coeffs)
-
-
-def reconstruct(phi: TestFunction, x) -> np.ndarray:
-    """Pointwise values of ``phi`` at arbitrary locations ``x``."""
-    return eval_series(phi.coeffs, x)
 
 
 # ---------------------------------------------------------------------------

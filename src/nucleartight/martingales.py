@@ -45,13 +45,7 @@ from .hermite import (
     _hermite_modes_first,
     _span,
 )
-from .paths import (
-    ScalarPath,
-    ScalarPathEnsemble,
-    TimeGrid,
-    containment_summary,
-    dual_path_stats,
-)
+from .paths import ScalarPath, TimeGrid, containment_summary, dual_path_stats
 from .rng import stream
 
 __all__ = [
@@ -62,7 +56,6 @@ __all__ = [
     "quadratic_variation_path",
     "QuadraticForm",
     "limit_variance",
-    "cross_covariance",
     "simulate_limit",
     "clt_report",
     "parallel_map",
@@ -308,9 +301,6 @@ class QuadraticForm:
         """The variance function ``A(t, phi) = C(t; phi, phi)``."""
         return float(self.covariance_matrix(t, [phi])[0, 0])
 
-    def cross(self, t: float, phi: TestFunction, psi: TestFunction) -> float:
-        return float(self.covariance_matrix(t, [phi, psi])[0, 1])
-
     def increment_covariances(
         self, grid: TimeGrid, dmat: np.ndarray, gl_points: int = 4
     ) -> np.ndarray:
@@ -333,19 +323,6 @@ def limit_variance(
     return QuadraticForm(phi.basis, panels_per_unit, gl_points).variance(t, phi)
 
 
-def cross_covariance(
-    phi: TestFunction,
-    psi: TestFunction,
-    t: float,
-    panels_per_unit: int = 8,
-    gl_points: int = 16,
-) -> float:
-    """Polarized covariance ``C(t; phi, psi) = int_0^t E[phi' psi'(Z_s)] ds``."""
-    if phi.basis != psi.basis:
-        raise ValueError("test functions must share a basis")
-    return QuadraticForm(phi.basis, panels_per_unit, gl_points).cross(t, phi, psi)
-
-
 def _sqrt_factors(increments: np.ndarray) -> np.ndarray:
     """Symmetric square roots of PSD increment matrices, with clipping.
 
@@ -363,17 +340,16 @@ def _sqrt_factors(increments: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", vecs, root, vecs)
 
 
-def _sample_limit_states(
-    factors: np.ndarray, count: int, seed: int, stream_id: int, tag: str = "limit"
-) -> np.ndarray:
-    """Joint Gaussian coordinate paths, shape ``(count, steps+1, m)``."""
-    steps, m = factors.shape[0], factors.shape[1]
-    gen = stream(seed, tag, stream_id)
-    z = gen.standard_normal(size=(count, steps, m))
+def _limit_states(factors: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
+    """Gaussian limit paths from standard normals ``z`` of shape ``(count, steps, m)``.
+
+    Step ``j`` of path ``c`` adds ``factors[j] @ z[c, j]``.  The paths start at
+    zero and fill the first ``m`` of ``width`` zero-padded columns: shape
+    ``(count, steps + 1, width)``.
+    """
     inc = np.einsum("cjm,jkm->cjk", z, factors)
-    states = np.empty((count, steps + 1, m))
-    states[:, 0, :] = 0.0
-    np.cumsum(inc, axis=1, out=states[:, 1:, :])
+    states = np.zeros((z.shape[0], z.shape[1] + 1, width))
+    np.cumsum(inc, axis=1, out=states[:, 1:, : z.shape[2]])
     return states
 
 
@@ -384,12 +360,13 @@ def simulate_limit(
     seed: int,
     stream_id: int = 0,
     form: QuadraticForm | None = None,
-) -> list[ScalarPathEnsemble]:
-    """Sample the Gaussian limit jointly over ``phis``.
+) -> np.ndarray:
+    """Sample the Gaussian limit jointly over ``phis``, shape ``(count, J+1, m)``.
 
-    Returns one :class:`ScalarPathEnsemble` per test function; path ``i`` of
-    each ensemble belongs to one joint draw.  Increments over disjoint steps
-    are independent with covariance ``C(t_{j+1}) - C(t_j)``.
+    Column ``a`` holds the paths of ``phis[a]``; row ``i`` is one joint draw.
+    Increments over disjoint steps are independent with covariance
+    ``C(t_{j+1}) - C(t_j)``.  All normals come from one stream keyed by
+    ``(seed, "limit", stream_id)``.
     """
     phis = list(phis)
     if not phis:
@@ -398,13 +375,9 @@ def simulate_limit(
         raise ValueError("need at least one path")
     if form is None:
         form = QuadraticForm(phis[0].basis)
-    dmat = form._dmat(phis)
-    factors = _sqrt_factors(form.increment_covariances(grid, dmat))
-    states = _sample_limit_states(factors, count, seed, stream_id)
-    info = {"seed": seed, "stream": stream_id, "tag": "limit"}
-    return [
-        ScalarPathEnsemble(grid, states[:, :, a], dict(info)) for a in range(len(phis))
-    ]
+    factors = _sqrt_factors(form.increment_covariances(grid, form._dmat(phis)))
+    z = stream(seed, "limit", stream_id).standard_normal((count, grid.steps, len(phis)))
+    return _limit_states(factors, z, len(phis))
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +429,9 @@ def clt_report(
     t_idx = [grid.index_of(t) for t in times]
     targets = np.array([[form.variance(t, phi) for t in times] for phi in phis])
 
-    limit_ens = simulate_limit(phis, grid, reps, seed, stream_id=0, form=form)
-    limit_joint = np.column_stack(
-        [limit_ens[a].values[:, j] for a in range(len(phis)) for j in t_idx]
-    )
+    limit = simulate_limit(phis, grid, reps, seed, stream_id=0, form=form)
+    # columns phi outer, t inner, as the particle sample ``mn_vals`` below
+    limit_joint = limit[:, t_idx].swapaxes(1, 2).reshape(reps, -1)
 
     dcoefs = [_derivative_coeffs(phi) for phi in phis]
     keep = max(_span(dcoef) for dcoef in dcoefs)  # modes every phi' needs

@@ -1,10 +1,10 @@
-"""Grid paths and ensembles in the truncated dual, with continuity diagnostics.
+"""Grid paths in the truncated dual, with continuity diagnostics.
 
 Paths are plain grid functions: a scalar path holds ``J+1`` values on a
 uniform grid over ``[0, T]``, a dual path holds one coefficient vector per
-node.  No interpolation is performed between nodes; suprema and moduli are
-taken over grid pairs, so refinement studies expose discretization error
-explicitly.
+node, and a batch of dual paths is a ``(..., J+1, N)`` array.  No
+interpolation is performed between nodes; suprema and moduli are taken over
+grid pairs, so refinement studies expose discretization error explicitly.
 
 The running dual-norm supremum and the dual modulus of continuity are the
 quantitative inputs for the compact-containment diagnostics: a family of
@@ -18,26 +18,21 @@ maximum over lags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import BasisSpec, DualElement, SeminormIndex, TestFunction
+from .hermite import BasisSpec, DualElement, SeminormIndex
 
 __all__ = [
     "TimeGrid",
     "ScalarPath",
-    "ScalarPathEnsemble",
     "DualPath",
-    "DualPathEnsemble",
     "modulus_dual",
     "sup_dual_norm",
     "dual_path_stats",
     "containment_summary",
-    "write_scalar_paths_csv",
-    "read_scalar_paths_csv",
     "write_dual_paths_csv",
-    "read_dual_paths_csv",
 ]
 
 
@@ -89,32 +84,6 @@ class ScalarPath:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarPathEnsemble:
-    """M scalar paths on one grid, with seed provenance."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    seed_info: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != self.grid.steps + 1:
-            raise ValueError("values must have shape (M, J+1)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def path(self, i: int) -> ScalarPath:
-        return ScalarPath(self.grid, self.values[i])
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[:, self.grid.index_of(t)]
-
-
-@dataclass(frozen=True, eq=False)
 class DualPath:
     """One dual-valued path: coefficient vector per grid node."""
 
@@ -132,36 +101,6 @@ class DualPath:
 
     def at(self, t: float) -> DualElement:
         return DualElement(self.basis, self.states[self.grid.index_of(t)])
-
-    def project(self, phi: TestFunction) -> ScalarPath:
-        """The scalar path ``t -> <x(t), phi>``."""
-        if phi.basis != self.basis:
-            raise ValueError("projection requires matching bases")
-        return ScalarPath(self.grid, self.states @ phi.coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class DualPathEnsemble:
-    """M dual paths sharing one grid and basis."""
-
-    grid: TimeGrid
-    basis: BasisSpec
-    states: np.ndarray
-    seed_info: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim != 3 or s.shape[1:] != (self.grid.steps + 1, self.basis.size):
-            raise ValueError("states must have shape (M, J+1, basis.size)")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("path states must be finite")
-        object.__setattr__(self, "states", s)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    def path(self, i: int) -> DualPath:
-        return DualPath(self.grid, self.basis, self.states[i])
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +153,8 @@ def dual_path_stats(states, grid: TimeGrid, deltas, r):
     return sup, np.sqrt(best[..., lags])
 
 
+# the entry point of the ``paths.modulus`` stage in perfbench/tracer.py; it can
+# go once that stage hooks dual_path_stats, which the reports call
 def modulus_dual(x: DualPath, delta: float, r) -> float:
     """Modulus of continuity in the dual norm of rung ``r``.
 
@@ -223,6 +164,8 @@ def modulus_dual(x: DualPath, delta: float, r) -> float:
     return float(dual_path_stats(x.states, x.grid, [delta], r)[1][0])
 
 
+# the entry point of the ``paths.sup`` stage in perfbench/tracer.py, kept
+# until that stage hooks dual_path_stats like ``paths.modulus``
 def sup_dual_norm(x: DualPath, r) -> float:
     """Running supremum ``max_j p'_r(x(t_j))`` over the grid."""
     return float(dual_path_stats(x.states, x.grid, [], r)[0])
@@ -276,40 +219,12 @@ def containment_summary(
 # ---------------------------------------------------------------------------
 
 
-def write_scalar_paths_csv(ensemble: ScalarPathEnsemble, path) -> None:
-    """Rows ``path,step,value``; floats via repr for lossless round-trips."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("path,step,value\n")
-        for i in range(len(ensemble)):
-            row = ensemble.values[i]
-            for j in range(row.size):
-                fh.write(f"{i},{j},{float(row[j])!r}\n")
-
-
-def read_scalar_paths_csv(path, grid: TimeGrid) -> ScalarPathEnsemble:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_paths = int(data[:, 0].max()) + 1
-    values = np.empty((n_paths, grid.steps + 1))
-    values[data[:, 0].astype(int), data[:, 1].astype(int)] = data[:, 2]
-    return ScalarPathEnsemble(grid, values)
-
-
-def write_dual_paths_csv(ensemble: DualPathEnsemble, path) -> None:
-    """Rows ``path,step,k,value``."""
+def write_dual_paths_csv(states, path) -> None:
+    """Rows ``path,step,k,value`` of an ``(M, J+1, N)`` batch; floats via repr."""
+    s = np.asarray(states, dtype=float)
+    if s.ndim != 3:
+        raise ValueError("states must have shape (M, J+1, N)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,step,k,value\n")
-        for i in range(len(ensemble)):
-            states = ensemble.states[i]
-            for j in range(states.shape[0]):
-                for k in range(states.shape[1]):
-                    fh.write(f"{i},{j},{k},{float(states[j, k])!r}\n")
-
-
-def read_dual_paths_csv(path, grid: TimeGrid, basis: BasisSpec) -> DualPathEnsemble:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_paths = int(data[:, 0].max()) + 1
-    states = np.empty((n_paths, grid.steps + 1, basis.size))
-    states[
-        data[:, 0].astype(int), data[:, 1].astype(int), data[:, 2].astype(int)
-    ] = data[:, 3]
-    return DualPathEnsemble(grid, basis, states)
+        for (i, j, k), v in np.ndenumerate(s):
+            fh.write(f"{i},{j},{k},{float(v)!r}\n")

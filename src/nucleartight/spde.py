@@ -40,6 +40,7 @@ from .hermite import (
 from .martingales import (
     ParticleEnsemble,
     QuadraticForm,
+    _limit_states,
     _mn_dual_states,
     _phi_label,
     _sqrt_factors,
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 
+# kept for demo 03, which wraps one driver as a DualPath; the reports call _mn_dual_states
 def mn_dual_path(particles: ParticleEnsemble, basis: BasisSpec) -> DualPath:
     """Coordinate paths of the particle martingale as one dual-valued path.
 
@@ -148,6 +150,7 @@ def _mild_states(
     return out
 
 
+# kept for demo 03, which solves one DualPath; the reports batch through _HeatSolver
 def mild_solution(driver: DualPath, eta: DualElement) -> DualPath:
     """Solve the heat evolution driven by ``driver`` from initial state ``eta``."""
     if driver.basis != eta.basis:
@@ -214,10 +217,7 @@ def _limit_driver_chunk(
     z = np.empty((len(indices), steps, modes))
     for c, idx in enumerate(indices):
         z[c] = stream(seed, tag, *prefix, int(idx)).standard_normal((steps, modes))
-    inc = np.einsum("cjm,jkm->cjk", z, factors)
-    states = np.zeros((len(indices), steps + 1, basis.size))
-    np.cumsum(inc, axis=1, out=states[:, 1:, :modes])
-    return states
+    return _limit_states(factors, z, basis.size)
 
 
 class _HeatSolver:

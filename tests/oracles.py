@@ -176,3 +176,33 @@ def mn_dual_states_full(particles, basis):
     states[0] = 0.0
     np.cumsum(dmn, axis=0, out=states[1:])
     return states
+
+
+def sample_limit_states(factors, count, seed, stream_id, tag="limit"):
+    """The clt limit sampler the shared ``_limit_states`` kernel replaced:
+    one stream for every path, shape ``(count, steps+1, m)``."""
+    from nucleartight.rng import stream
+
+    steps, m = factors.shape[0], factors.shape[1]
+    gen = stream(seed, tag, stream_id)
+    z = gen.standard_normal(size=(count, steps, m))
+    inc = np.einsum("cjm,jkm->cjk", z, factors)
+    states = np.empty((count, steps + 1, m))
+    states[:, 0, :] = 0.0
+    np.cumsum(inc, axis=1, out=states[:, 1:, :])
+    return states
+
+
+def limit_driver_chunk(factors, basis, grid, seed, tag, indices, prefix=()):
+    """The heat limit driver before it called ``_limit_states``: one stream
+    per path index, shape ``(len(indices), J+1, N)``."""
+    from nucleartight.rng import stream
+
+    steps, modes = factors.shape[0], factors.shape[1]
+    z = np.empty((len(indices), steps, modes))
+    for c, idx in enumerate(indices):
+        z[c] = stream(seed, tag, *prefix, int(idx)).standard_normal((steps, modes))
+    inc = np.einsum("cjm,jkm->cjk", z, factors)
+    states = np.zeros((len(indices), steps + 1, basis.size))
+    np.cumsum(inc, axis=1, out=states[:, 1:, :modes])
+    return states

@@ -216,7 +216,7 @@ def test_criterion_07_fdd_energy_trend(particle_study, basis, grid):
     h0, h1 = unit_function(basis, 0), unit_function(basis, 1)
     limit = simulate_limit([h0, h1], grid, 2000, SEED, stream_id=0)
     limit_joint = np.column_stack(
-        [limit[0].values[:, grid.index_of(0.5)], limit[1].values[:, grid.index_of(1.0)]]
+        [limit[:, grid.index_of(0.5), 0], limit[:, grid.index_of(1.0), 1]]
     )
     values = {}
     for n in (10, 40, 160):

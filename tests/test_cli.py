@@ -157,7 +157,7 @@ def test_rejects_unknown_scenario(tmp_path):
     assert run(["clt", "--config", "no-such-scenario", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_rejects_bad_fields(tmp_path):
+def test_rejects_bad_fields(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, "n_list": [], "reps": 10}))
     assert run(["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -166,6 +166,19 @@ def test_rejects_bad_fields(tmp_path):
     for field in ({"hs": {"n_terms": 0}}, {"random_pairs": 2.5}):
         cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, **field}))
         assert run(["basis-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    for field, name in [
+        ({"heat_times": ["a"]}, "heat_times"),
+        ({"heat_times": [0.1]}, "heat_times"),
+        ({"seminorm_family": [0, 0.2]}, "seminorm_family"),
+        ({"seminorm_family": [0.0]}, "seminorm_family"),
+        ({"hs": {"pairs": [[1, 0]]}}, "hs.pairs"),
+        ({"hs": {"pairs": [[0, 1, 2]]}}, "hs.pairs"),
+    ]:
+        cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, **field}))
+        assert run(["basis-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: field {name}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["clt", "tightness"])

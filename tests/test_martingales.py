@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import oracles
-from nucleartight import martingales
+from nucleartight import martingales, spde
 from nucleartight.hermite import BasisSpec, TestFunction, derivative_op
 from nucleartight.martingales import (
     NumericalIntegrityError,
     QuadraticForm,
     _sqrt_factors,
     clt_report,
-    cross_covariance,
     limit_variance,
     mn_scalar_path,
     parallel_map,
@@ -309,10 +308,15 @@ def test_variance_function_monotone_in_time(basis):
 
 
 def test_cross_covariance_polarization(basis, h0):
+    form = QuadraticForm(basis)
+
+    def cross(phi, psi, t):
+        return form.covariance_matrix(t, [phi, psi])[0, 1]
+
     h1 = unit_function(basis, 1)
-    assert cross_covariance(h0, h0, 1.0) == pytest.approx(limit_variance(h0, 1.0), abs=1e-10)
-    assert cross_covariance(h0, h1, 0.8) == pytest.approx(
-        cross_covariance(h1, h0, 0.8), abs=1e-14
+    assert cross(h0, h0, 1.0) == pytest.approx(limit_variance(h0, 1.0), abs=1e-10)
+    assert cross(h0, h1, 0.8) == pytest.approx(
+        cross(h1, h0, 0.8), abs=1e-14
     )
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -321,7 +325,7 @@ def test_cross_covariance_polarization(basis, h0):
         c2[:5] = rng.standard_normal(5)
         phi, psi = TestFunction(basis, c1), TestFunction(basis, c2)
         bound = np.sqrt(limit_variance(phi, 0.6) * limit_variance(psi, 0.6))
-        assert abs(cross_covariance(phi, psi, 0.6)) <= bound * (1 + 1e-12)
+        assert abs(cross(phi, psi, 0.6)) <= bound * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +335,16 @@ def test_cross_covariance_polarization(basis, h0):
 
 def test_limit_paths_start_at_zero(basis, h0):
     grid = TimeGrid(1.0, 50)
-    ens = simulate_limit([h0], grid, 100, 13)[0]
-    assert np.all(ens.values[:, 0] == 0.0)
+    paths = simulate_limit([h0], grid, 100, 13)
+    assert paths.shape == (100, 51, 1)
+    assert np.all(paths[:, 0] == 0.0)
 
 
 def test_limit_variance_matches_target(basis, h0):
     grid = TimeGrid(1.0, 100)
-    ens = simulate_limit([h0], grid, 5000, 14)[0]
+    paths = simulate_limit([h0], grid, 5000, 14)
     target = limit_variance(h0, 1.0)
-    sample = ens.values[:, -1]
+    sample = paths[:, -1, 0]
     var = sample.var(ddof=1)
     se = var * np.sqrt(2.0 / (sample.size - 1))
     assert abs(var - target) < 3 * se
@@ -347,9 +352,9 @@ def test_limit_variance_matches_target(basis, h0):
 
 def test_limit_increments_uncorrelated(basis, h0):
     grid = TimeGrid(1.0, 100)
-    ens = simulate_limit([h0], grid, 5000, 15)[0]
-    first = ens.values[:, 50] - ens.values[:, 0]
-    second = ens.values[:, 100] - ens.values[:, 50]
+    paths = simulate_limit([h0], grid, 5000, 15)[:, :, 0]
+    first = paths[:, 50] - paths[:, 0]
+    second = paths[:, 100] - paths[:, 50]
     rho = np.corrcoef(first, second)[0, 1]
     assert abs(rho) < 3.0 / np.sqrt(first.size)
 
@@ -357,12 +362,39 @@ def test_limit_increments_uncorrelated(basis, h0):
 def test_limit_joint_sampling_shares_draws(basis, h0):
     h1 = unit_function(basis, 1)
     grid = TimeGrid(1.0, 50)
-    a, b = simulate_limit([h0, h1], grid, 200, 16)
+    paths = simulate_limit([h0, h1], grid, 200, 16)
     # same underlying joint draw: correlation matches the covariance form
     form = QuadraticForm(basis)
     cov = form.covariance_matrix(1.0, [h0, h1])
-    emp = np.cov(a.values[:, -1], b.values[:, -1])
+    emp = np.cov(paths[:, -1, 0], paths[:, -1, 1])
     assert abs(emp[0, 1] - cov[0, 1]) < 5 * np.sqrt(cov[0, 0] * cov[1, 1] / 200)
+
+
+@pytest.mark.parametrize(
+    "count, coeffs, steps",
+    [(40, [[1.0]], 20), (40, [[1.0], [0.0, 1.0], [0.3, -0.2, 1.0]], 20), (25, [[0.5, 1.0]], 1)],
+    ids=["m1", "m3", "J1"],
+)
+def test_limit_samplers_match_parent(basis, count, coeffs, steps):
+    grid = TimeGrid(1.0, steps)
+    phis = [TestFunction(basis, np.r_[c, np.zeros(basis.size - len(c))]) for c in coeffs]
+    form = QuadraticForm(basis)
+    factors = _sqrt_factors(form.increment_covariances(grid, form._dmat(phis)))
+    assert np.array_equal(
+        simulate_limit(phis, grid, count, 21, stream_id=3, form=form),
+        oracles.sample_limit_states(factors, count, 21, 3),
+    )
+    # the heat driver: one stream per path, zero-padded to basis.size columns
+    for modes, indices, prefix in [
+        (1, range(4), ()),
+        (5, range(2, 7), ()),
+        (basis.size, range(3), ()),
+        (5, [6], ()),
+        (5, range(1, 4), (2, 1)),
+    ]:
+        factors = spde._limit_factors(form, grid, basis, modes)
+        args = (factors, basis, grid, 21, "limit", indices, prefix)
+        assert np.array_equal(spde._limit_driver_chunk(*args), oracles.limit_driver_chunk(*args))
 
 
 def test_sqrt_factors_integrity():

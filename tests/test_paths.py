@@ -4,18 +4,13 @@ import pytest
 from nucleartight.hermite import TestFunction
 from nucleartight.paths import (
     DualPath,
-    DualPathEnsemble,
     ScalarPath,
-    ScalarPathEnsemble,
     TimeGrid,
     containment_summary,
     dual_path_stats,
     modulus_dual,
-    read_dual_paths_csv,
-    read_scalar_paths_csv,
     sup_dual_norm,
     write_dual_paths_csv,
-    write_scalar_paths_csv,
 )
 
 from conftest import unit_function
@@ -254,23 +249,12 @@ def test_containment_rejects_empty(basis16):
 # ---------------------------------------------------------------------------
 
 
-def test_scalar_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(31)
-    grid = TimeGrid(1.0, 12)
-    ens = ScalarPathEnsemble(grid, rng.standard_normal((4, 13)), {"seed": 31})
-    target = tmp_path / "scalar.csv"
-    write_scalar_paths_csv(ens, target)
-    assert target.read_text().splitlines()[0] == "path,step,value"
-    back = read_scalar_paths_csv(target, grid)
-    assert np.array_equal(back.values, ens.values)
-
-
 def test_dual_csv_roundtrip(tmp_path, basis16):
     rng = np.random.default_rng(37)
-    grid = TimeGrid(1.0, 6)
-    ens = DualPathEnsemble(grid, basis16, rng.standard_normal((3, 7, basis16.size)))
+    states = rng.standard_normal((3, 7, basis16.size))
     target = tmp_path / "dual.csv"
-    write_dual_paths_csv(ens, target)
+    write_dual_paths_csv(states, target)
     assert target.read_text().splitlines()[0] == "path,step,k,value"
-    back = read_dual_paths_csv(target, grid, basis16)
-    assert np.array_equal(back.states, ens.states)
+    rows = np.loadtxt(target, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, :3], list(np.ndindex(states.shape)))
+    assert np.array_equal(rows[:, 3].reshape(states.shape), states)

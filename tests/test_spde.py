@@ -49,7 +49,7 @@ def test_dual_path_matches_scalar_sums(basis, grid):
     for _ in range(5):
         phi = TestFunction(basis, rng.standard_normal(basis.size))
         scalar = mn_scalar_path(phi, particles).values
-        projected = dual.project(phi).values
+        projected = dual.states @ phi.coeffs
         assert np.abs(scalar - projected).max() < 1e-10
 
 
