@@ -206,7 +206,7 @@ def materialize(command: str, cfg: dict) -> dict:
     if command == "basis-check":
         _require(_int_at_least(merged["hs"]["n_terms"], 1), "hs.n_terms", "must be an integer >= 1")
         _require(_int_at_least(merged["random_pairs"], 0), "random_pairs", "must be an integer >= 0")
-        _check_basis_fields(merged)
+        _check_basis_fields(merged, basis)
     else:
         _require(_finite(merged["grid"]["T"]), "grid.T", "must be a finite number")
         _require(_int_at_least(merged["grid"]["J"], 1), "grid.J", "must be an integer >= 1")
@@ -270,9 +270,16 @@ def _nonnegatives(value, length: int) -> bool:
     return isinstance(value, list) and len(value) >= length and all(_finite(v) and v >= 0 for v in value)
 
 
-def _check_basis_fields(cfg: dict) -> None:
+def _check_basis_fields(cfg: dict, basis: BasisSpec) -> None:
     """The heat times, seminorm ladder and Hilbert-Schmidt pairs of basis-check."""
-    _require(_nonnegatives(cfg["heat_times"], 2), "heat_times", "must hold at least two finite numbers >= 0")
+    times = cfg["heat_times"]
+    _require(_nonnegatives(times, 2), "heat_times", "must hold at least two finite numbers >= 0")
+    # the semigroup check also evaluates the sum of the first two times
+    for t in (*times, times[0] + times[1]):
+        try:
+            heat_matrix(float(t), basis)
+        except ValueError as exc:
+            raise ConfigError(f"field heat_times: {exc}") from exc
     family = cfg["seminorm_family"]
     gaps_ok = _nonnegatives(family, 2) and all(b - a > 0.5 for a, b in zip(family, family[1:]))
     _require(gaps_ok, "seminorm_family", "must hold at least two finite numbers >= 0 with gaps > 1/2")

@@ -332,13 +332,18 @@ def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
     """Heat semigroup ``E(t) = exp(t L)`` on coefficients.
 
     Computed by scaling-and-squaring matrix exponential of the banded
-    truncated Laplacian, so the semigroup law holds to rounding error.
+    truncated Laplacian, so the semigroup law holds to rounding error.  At
+    huge times (``1e50`` at ``N = 8``) the squaring overflows, and a
+    non-finite result raises ``ValueError``.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     if t == 0.0:
         return np.eye(basis.size)
-    return expm(t * laplacian_op(basis))
+    e = expm(t * laplacian_op(basis))
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"heat semigroup at time {t!r} is not finite")
+    return e
 
 
 def heat_flow_ground_state(t: float, x) -> np.ndarray:

@@ -141,11 +141,17 @@ def _mild_states(
     out = np.empty_like(driver_states)
     eta_flow = np.broadcast_to(eta_coeffs, driver_states[..., 0, :].shape).copy()
     out[..., 0, :] = eta_flow + driver_states[..., 0, :]
+    # a zero initial state stays zero: skip its flow, keeping the +0 vectors
+    # its products would give
+    flows = bool(np.any(eta_coeffs))
+    if not flows:
+        eta_flow = np.zeros_like(eta_flow)
     duhamel = np.zeros_like(eta_flow)
     steps = driver_states.shape[-2] - 1
     for j in range(1, steps + 1):
         duhamel = (duhamel + lm[..., j - 1, :]) @ e_dt
-        eta_flow = eta_flow @ e_dt
+        if flows:
+            eta_flow = eta_flow @ e_dt
         out[..., j, :] = eta_flow + dt * duhamel + driver_states[..., j, :]
     return out
 

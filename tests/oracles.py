@@ -93,6 +93,32 @@ def brute_force_dual_modulus(states, times, delta, r):
     return best
 
 
+def dual_path_stats_dense(states, grid, deltas, r):
+    """``paths.dual_path_stats`` as one per-lag loop over every row at every
+    lag up to the largest: the reducer the Gram-bounded one replaced.
+
+    A bit-for-bit reference, so it reuses the package's lag rule and dual
+    weights.
+    """
+    from nucleartight.hermite import SeminormIndex
+    from nucleartight.paths import _max_lag
+
+    s = np.asarray(states, dtype=float)
+    lags = [_max_lag(grid, float(d)) for d in deltas]
+    s = s * SeminormIndex(float(r)).dual_weights(s.shape[-1])
+    sup = np.sqrt((s * s).sum(axis=-1).max(axis=-1))
+    top = max(lags, default=0)
+    best = np.zeros(s.shape[:-2] + (top + 1,))
+    buf = np.empty(s.shape[:-2] + (grid.steps if top else 0, s.shape[-1]))
+    for lag in range(1, top + 1):
+        d = buf[..., : grid.steps + 1 - lag, :]
+        np.subtract(s[..., lag:, :], s[..., :-lag, :], out=d)
+        np.multiply(d, d, out=d)
+        best[..., lag] = d.sum(axis=-1).max(axis=-1)
+    np.maximum.accumulate(best, axis=-1, out=best)
+    return sup, np.sqrt(best[..., lags])
+
+
 def gram_at(basis, s, dmat):
     """``E[phi_a'(Z_s) phi_b'(Z_s)]`` at one time ``s > 0``, one node at a time.
 

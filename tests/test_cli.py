@@ -174,6 +174,7 @@ def test_rejects_bad_fields(tmp_path, capsys):
         ({"seminorm_family": [0.0]}, "seminorm_family"),
         ({"hs": {"pairs": [[1, 0]]}}, "hs.pairs"),
         ({"hs": {"pairs": [[0, 1, 2]]}}, "hs.pairs"),
+        ({"heat_times": [1e200, 1e200]}, "heat_times"),
     ]:
         cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, **field}))
         assert run(["basis-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

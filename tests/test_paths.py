@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nucleartight import paths
 from nucleartight.hermite import TestFunction
 from nucleartight.paths import (
     DualPath,
@@ -13,6 +14,7 @@ from nucleartight.paths import (
     write_dual_paths_csv,
 )
 
+import oracles
 from conftest import unit_function
 from oracles import brute_force_dual_modulus
 
@@ -191,6 +193,66 @@ def test_dual_path_stats_batch_equals_single_paths(basis16):
     empty_sup, empty_mod = dual_path_stats(states, grid, [], 1.0)
     assert np.array_equal(empty_sup, sup)
     assert empty_mod.shape == (4, 0)
+
+
+def oracle_paths(kind, shape, rng):
+    """``(..., J+1, N)`` paths of one kind for the pruned-reducer oracles."""
+    if kind == "brownian":
+        return np.cumsum(rng.standard_normal(shape), axis=-2)
+    if kind == "linear":
+        return np.arange(shape[-2])[:, None] * rng.standard_normal(shape[:-2] + (1, shape[-1]))
+    if kind == "constant":
+        return np.broadcast_to(rng.standard_normal(shape[:-2] + (1, shape[-1])), shape).copy()
+    if kind == "random":
+        return rng.standard_normal(shape)
+    # a huge offset with tiny increments: the Gram bound cancels to noise
+    return 1e6 + np.cumsum(1e-3 * rng.standard_normal(shape), axis=-2)
+
+
+PRUNE_SIDES = {
+    "default": {},
+    "dense": {"_PRUNE_MIN_LAG": 10**9},
+    "pruned-all": {"_PRUNE_MIN_LAG": 1, "_PRUNE_MAX_SHARE": 1.0},
+    "pruned-fallback": {"_PRUNE_MIN_LAG": 1, "_PRUNE_MAX_SHARE": 0.0},
+}
+
+
+@pytest.mark.parametrize("side", sorted(PRUNE_SIDES))
+@pytest.mark.parametrize("modes", [1, 64])
+@pytest.mark.parametrize("batch", [(), (2,), (3, 2)])
+@pytest.mark.parametrize("kind", ["brownian", "linear", "constant", "random", "offset"])
+def test_dual_path_stats_equals_dense_loop(monkeypatch, kind, batch, modes, side):
+    for name, value in PRUNE_SIDES[side].items():
+        monkeypatch.setattr(paths, name, value)
+    grid = TimeGrid(1.0, 40)
+    states = oracle_paths(kind, batch + (41, modes), np.random.default_rng(47))
+    sup, mod = dual_path_stats(states, grid, ORACLE_DELTAS, 0.5)
+    dense_sup, dense_mod = oracles.dual_path_stats_dense(states, grid, ORACLE_DELTAS, 0.5)
+    assert np.array_equal(sup, dense_sup)
+    assert np.array_equal(mod, dense_mod)
+    if batch == ():
+        expected = [brute_force_dual_modulus(states, grid.nodes(), d, 0.5) for d in ORACLE_DELTAS]
+        assert mod.tolist() == expected
+
+
+def test_dual_path_stats_equals_dense_loop_at_report_shape():
+    grid = TimeGrid(1.0, 1000)
+    deltas = [0.01, 0.02, 0.05, 0.1, 0.2]
+    for seed in range(3):
+        states = np.cumsum(np.random.default_rng(seed).standard_normal((2, 1001, 64)), axis=1)
+        got = dual_path_stats(states, grid, deltas, 1.0)
+        want = oracles.dual_path_stats_dense(states, grid, deltas, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("kind, prunes", [("brownian", True), ("constant", False), ("offset", False)])
+def test_pruned_reducer_falls_back_on_cancellation(kind, prunes):
+    x = oracle_paths(kind, (401, 16), np.random.default_rng(53))
+    sq = (x * x).sum(axis=-1)
+    best = paths._pruned_best(x, sq, [40, 20])
+    assert (best is not None) == prunes
+    if prunes:
+        assert np.array_equal(best, paths._dense_best(x, 40)[[40, 20]])
 
 
 def test_dual_path_stats_validates_input():
