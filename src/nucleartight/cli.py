@@ -214,6 +214,8 @@ def materialize(command: str, cfg: dict) -> dict:
             grid = _grid_from(merged)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"field grid: {exc}") from exc
+        if command != "clt":
+            _check_step_semigroup(grid, basis, "grid")
         tight = merged["tightness"]
         deltas = tight.get("deltas")
         _require(
@@ -252,6 +254,8 @@ def materialize(command: str, cfg: dict) -> dict:
                 "calibration.steps",
                 "must be null or a positive integer",
             )
+            if cal["reps"] > 0 and cal["steps"] is not None:
+                _check_step_semigroup(TimeGrid(grid.horizon, cal["steps"]), basis, "calibration.steps")
             gate = merged["residual_gate_factor"]
             _require(_finite(gate) and gate > 0, "residual_gate_factor", "must be a finite number > 0")
         if command == "tightness":
@@ -288,6 +292,14 @@ def _check_basis_fields(cfg: dict, basis: BasisSpec) -> None:
         _nonnegatives(p, 2) and len(p) == 2 and p[0] < p[1] for p in pairs
     )
     _require(pairs_ok, "hs.pairs", "must be a list of [r, s] pairs of finite numbers with 0 <= r < s")
+
+
+def _check_step_semigroup(grid: TimeGrid, basis: BasisSpec, field: str) -> None:
+    """The mild solver steps by ``E(dt)``, which overflows at huge steps."""
+    try:
+        heat_matrix(grid.dt, basis)
+    except ValueError as exc:
+        raise ConfigError(f"field {field}: {exc}") from exc
 
 
 def _check_cells(cfg: dict, basis: BasisSpec, grid: TimeGrid) -> None:

@@ -27,6 +27,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,38 +92,48 @@ class ParticleEnsemble:
 
     Increments are Normal(0, dt), drawn in one fixed-order block from the
     stream keyed by ``(seed, "particles", stream_id)``, hence independent
-    across particles and steps and reproducible bit-for-bit.
+    across particles and steps and reproducible bit-for-bit.  A block of
+    repetitions stacks one such draw per stream index: ``stream_id`` is then
+    a tuple and the increments have shape ``(len(stream_id), count, steps)``.
     """
 
     count: int
     grid: TimeGrid
     increments: np.ndarray
     seed: int
-    stream_id: int
+    stream_id: int | tuple
 
     def __post_init__(self) -> None:
         inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (self.count, self.grid.steps):
-            raise ValueError("increments must have shape (count, steps)")
+        if inc.shape[-2:] != (self.count, self.grid.steps):
+            raise ValueError("increments must have shape (..., count, steps)")
         object.__setattr__(self, "increments", inc)
 
     def positions(self) -> np.ndarray:
-        """Particle positions, shape ``(count, steps + 1)``, starting at 0."""
-        b = np.empty((self.count, self.grid.steps + 1))
-        b[:, 0] = 0.0
-        np.cumsum(self.increments, axis=1, out=b[:, 1:])
+        """Particle positions, shape ``(..., count, steps + 1)``, starting at 0."""
+        b = np.empty(self.increments.shape[:-1] + (self.grid.steps + 1,))
+        b[..., 0] = 0.0
+        np.cumsum(self.increments, axis=-1, out=b[..., 1:])
         return b
 
 
 def simulate_particles(
-    n: int, grid: TimeGrid, seed: int, stream_id: int = 0
+    n: int, grid: TimeGrid, seed: int, stream_id: int | range | tuple = 0
 ) -> ParticleEnsemble:
-    """Draw ``n`` independent Brownian particles started at zero."""
+    """Draw ``n`` independent Brownian particles started at zero.
+
+    ``stream_id`` is one stream index, or a sequence of them for a block of
+    repetitions whose increments stack to ``(len(stream_id), n, steps)``;
+    each repetition's slice has the bits of a single-index call.
+    """
     if n < 1:
         raise ValueError("particle count must be >= 1")
-    gen = stream(seed, "particles", stream_id)
-    inc = gen.normal(0.0, np.sqrt(grid.dt), size=(n, grid.steps))
-    return ParticleEnsemble(n, grid, inc, seed, stream_id)
+    single = isinstance(stream_id, (int, np.integer))
+    ids = (stream_id,) if single else tuple(stream_id)
+    inc = np.empty((len(ids), n, grid.steps))
+    for i, sid in enumerate(ids):
+        inc[i] = stream(seed, "particles", sid).normal(0.0, np.sqrt(grid.dt), size=(n, grid.steps))
+    return ParticleEnsemble(n, grid, inc[0] if single else inc, seed, stream_id if single else ids)
 
 
 def _derivative_coeffs(phi: TestFunction) -> np.ndarray:
@@ -132,25 +143,36 @@ def _derivative_coeffs(phi: TestFunction) -> np.ndarray:
 def _mn_qv_steps(dcoef: np.ndarray, particles: ParticleEnsemble, modes=None):
     """Per-step martingale and quadratic-variation increments.
 
-    Returns ``(mn_steps, qv_steps)``, each of shape ``(steps,)``:
-    left-point evaluation of phi' along each particle, paired with the
-    particle's forward increment (martingale) or squared and scaled by dt
-    (quadratic variation).  ``modes`` kept by :func:`_mn_dual_states` spare a recurrence.
+    Returns ``(mn_steps, qv_steps)``, each of shape ``(..., steps)`` for
+    increments of shape ``(..., count, steps)``: left-point evaluation of
+    phi' along each particle, paired with the particle's forward increment
+    (martingale) or squared and scaled by dt (quadratic variation), summed
+    over the particle axis.  ``modes`` kept by :func:`_mn_dual_states` spare
+    a recurrence.  phi' is contracted one repetition at a time: OpenBLAS's
+    gemv rounds the last ``size % 4`` entries of a product its own way, so
+    one product over a stacked block would change the bits of a repetition
+    whose ``count * steps`` is not a multiple of 4.
     """
     top = _span(dcoef)
+    inc = particles.increments
     if modes is None:
-        modes = _hermite_modes_first(particles.positions()[:, :-1], top)
-    vals = np.tensordot(dcoef[:top], modes[:top], axes=(0, 0))
+        modes = _hermite_modes_first(particles.positions()[..., :-1], top)
+    vals = np.empty(inc.shape)
+    rows = vals.reshape(-1, inc.shape[-2] * inc.shape[-1])  # one per repetition
+    stacked = modes[:top].reshape((top,) + rows.shape)
+    for r, out in enumerate(rows):
+        np.dot(dcoef[:top], stacked[:, r], out=out)
     root_n = np.sqrt(particles.count)
-    mn_steps = (vals * particles.increments).sum(axis=0) / root_n
-    qv_steps = (vals * vals).sum(axis=0) * (particles.grid.dt / particles.count)
+    mn_steps = (vals * inc).sum(axis=-2) / root_n
+    qv_steps = (vals * vals).sum(axis=-2) * (particles.grid.dt / particles.count)
     return mn_steps, qv_steps
 
 
 def _cumulative(steps: np.ndarray) -> np.ndarray:
-    out = np.empty(steps.size + 1)
-    out[0] = 0.0
-    np.cumsum(steps, out=out[1:])
+    """Running sums along the last axis, from a leading zero."""
+    out = np.empty(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -169,7 +191,9 @@ def quadratic_variation_path(
 
 
 # values per (particles, block) mode buffer of _mn_dual_states (512 kB); smaller
-# blocks run faster on one thread but stall two pool threads on the GIL
+# blocks run faster on one thread but stall two pool threads on the GIL.  It
+# sizes clt_report's blocks of repetitions too: as many as fill one buffer
+# over the whole grid, at least one.
 _DRIVER_VALUES = 65_536
 
 
@@ -179,35 +203,38 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0
     Shares the particle realization across coordinates and applies the same
     truncated derivative ladder as the scalar path, so projecting the result
     onto any test function in the span reproduces the scalar Euler sum.
-    Returns ``(states, modes)``: states of shape ``(steps + 1, size)`` and
-    the first ``keep`` Hermite modes at the left points, ``(keep, count, steps)``.
+    Increments of shape ``(..., count, steps)`` may carry leading axes (a
+    block of repetitions), and every repetition gets the bits it gets alone.
+    Returns ``(states, modes)``: states of shape ``(..., steps + 1, size)``
+    and the first ``keep`` Hermite modes at the left points,
+    ``(keep, ..., count, steps)``.
     """
     n_modes = basis.size
-    grid = particles.grid
-    left = particles.positions()[:, :-1]
+    left = particles.positions()[..., :-1]
     inc = particles.increments
+    batch, steps = left.shape[:-2], left.shape[-1]
     root_n = np.sqrt(particles.count)
     modes = np.empty((keep,) + left.shape)
-    dmn = np.zeros((grid.steps, n_modes))
-    ladder = np.sqrt(np.arange(1, n_modes) / 2.0)[:, None]
-    block = max(1, _DRIVER_VALUES // particles.count)
-    for a in range(0, grid.steps, block):
-        b = min(a + block, grid.steps)
+    dmn = np.empty(batch + (steps, n_modes))
+    ladder = np.sqrt(np.arange(1, n_modes) / 2.0).reshape((-1,) + (1,) * (len(batch) + 1))
+    block = max(1, _DRIVER_VALUES // (math.prod(batch) * particles.count))
+    for a in range(0, steps, block):
+        b = min(a + block, steps)
         # contract particles mode by mode as the recurrence yields them,
-        # s[k, j] = sum_i h_k(B^i_j) dB^i_j, then apply the derivative ladder
+        # s[k, ..., j] = sum_i h_k(B^i_j) dB^i_j, then apply the derivative ladder
         # h'_k = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1} (truncated at the top)
-        s = np.empty((n_modes, b - a))
-        for k, h in enumerate(_hermite_modes(left[:, a:b], n_modes)):
-            np.einsum("ij,ij->j", h, inc[:, a:b], out=s[k])
+        s = np.empty((n_modes,) + batch + (b - a,))
+        for k, h in enumerate(_hermite_modes(left[..., a:b], n_modes)):
+            np.einsum("...ij,...ij->...j", h, inc[..., a:b], out=s[k])
             if k < keep:
-                modes[k, :, a:b] = h
-        contrib = np.zeros((n_modes, b - a))
+                modes[k, ..., a:b] = h
+        contrib = np.zeros(s.shape)
         contrib[1:] = ladder * s[:-1]
         contrib[: n_modes - 1] -= ladder * s[1:]
-        dmn[a:b] = contrib.T / root_n
-    states = np.empty((grid.steps + 1, n_modes))
-    states[0] = 0.0
-    np.cumsum(dmn, axis=0, out=states[1:])
+        dmn[..., a:b, :] = np.moveaxis(contrib, 0, -1) / root_n
+    states = np.empty(batch + (steps + 1, n_modes))
+    states[..., 0, :] = 0.0
+    np.cumsum(dmn, axis=-2, out=states[..., 1:, :])
     return states, modes
 
 
@@ -413,8 +440,14 @@ def clt_report(
     ``(phi, t)`` vector and a sample of the Gaussian limit, plus dual-path
     tightness summaries.
 
+    The repetitions of one ``n`` run in blocks of ``_DRIVER_VALUES // (n J)``
+    (at least one): one driver, quadratic-variation and modulus pass per
+    block.  Repetition ``rep`` still draws from its own stream and gets the
+    bits it gets alone, so the report depends on neither the blocks nor
+    ``threads``.
+
     Returns ``(cells, extras)`` where ``extras`` carries per-n summaries and
-    optional raw paths (``collect_paths=True``).
+    optional raw paths, ``(reps, J+1, N)`` per ``n`` (``collect_paths=True``).
     """
     phis = list(phis)
     times = [float(t) for t in times]
@@ -441,25 +474,24 @@ def clt_report(
     cells = []
     extras = {"per_n": {}, "paths": {}}
     for n in n_list:
+        # repetitions per block: as many as fill one driver buffer, at least one
+        size = max(1, _DRIVER_VALUES // (n * grid.steps))
 
-        def one_rep(rep, n=n):
-            particles = simulate_particles(n, grid, seed, stream_id=rep)
+        def one_block(i, n=n, size=size):
+            particles = simulate_particles(n, grid, seed, range(i * size, min(i * size + size, reps)))
             states, modes = _mn_dual_states(particles, basis, keep)
-            mn = np.empty((len(phis), len(times)))
-            qv = np.empty((len(phis), len(times)))
+            mn = np.empty((states.shape[0], len(phis), len(times)))
+            qv = np.empty(mn.shape)
             for a, dcoef in enumerate(dcoefs):
                 mn_steps, qv_steps = _mn_qv_steps(dcoef, particles, modes)
-                mn[a] = _cumulative(mn_steps)[t_idx]
-                qv[a] = _cumulative(qv_steps)[t_idx]
+                mn[:, a] = _cumulative(mn_steps)[:, t_idx]
+                qv[:, a] = _cumulative(qv_steps)[:, t_idx]
             sup, mods = dual_path_stats(states, grid, deltas, tightness_index)
-            full = states if collect_paths else None
-            return mn, qv, sup, mods, full
+            return mn, qv, sup, mods, states if collect_paths else None
 
-        results = parallel_map(one_rep, reps, threads)
-        mn_vals = np.array([r[0] for r in results])  # (reps, phi, t)
-        qv_vals = np.array([r[1] for r in results])
-        sups = np.array([r[2] for r in results])
-        mod_table = np.array([r[3] for r in results])
+        results = parallel_map(one_block, -(-reps // size), threads)
+        # (reps, phi, t), (reps, phi, t), (reps,) and (reps, deltas)
+        mn_vals, qv_vals, sups, mod_table = (np.concatenate(r) for r in list(zip(*results))[:4])
 
         joint = mn_vals.reshape(reps, -1)
         energy, energy_se = diagnostics.energy_distance_with_se(joint, limit_joint)
@@ -471,7 +503,7 @@ def clt_report(
             "tightness": tightness,
         }
         if collect_paths:
-            extras["paths"][n] = [r[4] for r in results]
+            extras["paths"][n] = np.concatenate([r[4] for r in results])
 
         for a, phi in enumerate(phis):
             for b, t in enumerate(times):

@@ -232,3 +232,85 @@ def limit_driver_chunk(factors, basis, grid, seed, tag, indices, prefix=()):
     states = np.zeros((len(indices), steps + 1, basis.size))
     np.cumsum(inc, axis=1, out=states[:, 1:, :modes])
     return states
+
+
+def mn_dual_states_per_rep(particles, basis, keep=0):
+    """The particle driver before it took blocks of repetitions: increments of
+    one repetition, ``(count, steps)``, in time blocks of ``_DRIVER_VALUES //
+    count`` steps.  A bit-for-bit reference, so it reuses the package's
+    streamed recurrence and reads the block constant when called."""
+    from nucleartight import martingales
+    from nucleartight.hermite import _hermite_modes
+
+    n_modes = basis.size
+    grid = particles.grid
+    left = particles.positions()[:, :-1]
+    inc = particles.increments
+    root_n = np.sqrt(particles.count)
+    modes = np.empty((keep,) + left.shape)
+    dmn = np.zeros((grid.steps, n_modes))
+    ladder = np.sqrt(np.arange(1, n_modes) / 2.0)[:, None]
+    block = max(1, martingales._DRIVER_VALUES // particles.count)
+    for a in range(0, grid.steps, block):
+        b = min(a + block, grid.steps)
+        s = np.empty((n_modes, b - a))
+        for k, h in enumerate(_hermite_modes(left[:, a:b], n_modes)):
+            np.einsum("ij,ij->j", h, inc[:, a:b], out=s[k])
+            if k < keep:
+                modes[k, :, a:b] = h
+        contrib = np.zeros((n_modes, b - a))
+        contrib[1:] = ladder * s[:-1]
+        contrib[: n_modes - 1] -= ladder * s[1:]
+        dmn[a:b] = contrib.T / root_n
+    states = np.empty((grid.steps + 1, n_modes))
+    states[0] = 0.0
+    np.cumsum(dmn, axis=0, out=states[1:])
+    return states, modes
+
+
+def mn_qv_steps_per_rep(dcoef, particles, modes=None):
+    """Martingale and quadratic-variation steps of one repetition, with one
+    ``tensordot`` over its ``(top, count, steps)`` modes, as before blocks."""
+    from nucleartight.hermite import _hermite_modes_first, _span
+
+    top = _span(dcoef)
+    if modes is None:
+        modes = _hermite_modes_first(particles.positions()[:, :-1], top)
+    vals = np.tensordot(dcoef[:top], modes[:top], axes=(0, 0))
+    mn_steps = (vals * particles.increments).sum(axis=0) / np.sqrt(particles.count)
+    qv_steps = (vals * vals).sum(axis=0) * (particles.grid.dt / particles.count)
+    return mn_steps, qv_steps
+
+
+def repetition(particles, r):
+    """Repetition ``r`` of a block of particle repetitions, on its own."""
+    from nucleartight.martingales import ParticleEnsemble
+
+    return ParticleEnsemble(
+        particles.count, particles.grid, particles.increments[r], particles.seed, particles.stream_id[r]
+    )
+
+
+def per_rep_clt(monkeypatch):
+    """Make ``clt_report`` run the per-repetition driver, QV loop and modulus
+    on every repetition of its blocks, one repetition at a time."""
+    from nucleartight import martingales, paths
+
+    def driver(particles, basis, keep=0):
+        outs = [mn_dual_states_per_rep(repetition(particles, r), basis, keep) for r in range(len(particles.stream_id))]
+        return np.stack([o[0] for o in outs]), np.stack([o[1] for o in outs], axis=1)
+
+    def qv_steps(dcoef, particles, modes=None):
+        outs = [
+            mn_qv_steps_per_rep(dcoef, repetition(particles, r), None if modes is None else modes[:, r])
+            for r in range(len(particles.stream_id))
+        ]
+        return np.stack([o[0] for o in outs]), np.stack([o[1] for o in outs])
+
+    def path_stats(states, grid, deltas, r):
+        outs = [paths.dual_path_stats(x, grid, deltas, r) for x in states]
+        return np.array([o[0] for o in outs]), np.array([o[1] for o in outs])
+
+    monkeypatch.setattr(martingales, "_mn_dual_states", driver)
+    monkeypatch.setattr(martingales, "_mn_qv_steps", qv_steps)
+    monkeypatch.setattr(martingales, "dual_path_stats", path_stats)

@@ -250,6 +250,34 @@ def test_rejects_bad_config(tmp_path, capsys, command, override, field):
     assert not (tmp_path / "o").exists()
 
 
+HUGE_T = {"basis": {"N": 8, "Q": 16}, "grid": {"T": 1e100, "J": 10}, "n_list": [2], "reps": 2, "eta": {"kind": "zero"}}
+# at N = 8, E(1e36) is finite and E(5e38) overflows
+HUGE_CALIBRATION_STEP = {
+    **BAD_BASE,
+    "grid": {"T": 1e39, "J": 1000},
+    "times": [1e39],
+    "reps": 4,
+    "calibration": {"reps": 1, "size": 2, "steps": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("tightness", HUGE_T, "grid"),
+        ("heat", HUGE_T, "grid"),
+        ("heat", HUGE_CALIBRATION_STEP, "calibration.steps"),
+    ],
+)
+def test_rejects_grid_whose_step_semigroup_overflows(tmp_path, capsys, command, cfg, field):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: field {field}: heat semigroup at time" in err and "internal error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", sorted(cli._bundled_scenarios()))
 def test_bundled_scenarios_materialize(name):
     command = "basis-check" if name.startswith("basis") else name.split("-")[0]

@@ -247,6 +247,45 @@ def test_qv_steps_from_kept_modes(basis, keep, coeffs):
         assert np.array_equal(path(phi, particles).values, np.concatenate([[0.0], np.cumsum(steps)]))
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-time-block", "7-step-blocks"])
+@pytest.mark.parametrize("keep", [0, 1, 3])
+@pytest.mark.parametrize("count", [1, 5, 33])
+@pytest.mark.parametrize("reps", [1, 2, 7])
+def test_batched_driver_matches_per_rep(monkeypatch, reps, count, keep, split):
+    # J = 37 keeps count * J odd, where one gemv over a whole block would
+    # round the tail of each repetition differently
+    steps, basis = 37, BasisSpec(8, 16)
+    if split:  # 37 = 5 x 7 + 2 steps
+        monkeypatch.setattr(martingales, "_DRIVER_VALUES", reps * count * 7)
+    ids = range(3, 3 + reps)
+    particles = simulate_particles(count, TimeGrid(1.0, steps), 13, ids)
+    assert particles.increments.shape == (reps, count, steps)
+    states, modes = martingales._mn_dual_states(particles, basis, keep)
+    assert states.shape == (reps, steps + 1, 8) and modes.shape == (keep, reps, count, steps)
+    dcoef = np.zeros(8)
+    dcoef[:keep] = np.random.default_rng(keep).standard_normal(keep)
+    mn, qv = martingales._mn_qv_steps(dcoef, particles, modes)
+    assert mn.shape == qv.shape == (reps, steps)
+    mn_fresh, qv_fresh = martingales._mn_qv_steps(dcoef, particles)  # its own recurrence
+    if split:
+        monkeypatch.setattr(martingales, "_DRIVER_VALUES", count * 7)
+    for r, sid in enumerate(ids):
+        one = simulate_particles(count, TimeGrid(1.0, steps), 13, sid)
+        assert np.array_equal(_bits(particles.increments[r]), _bits(one.increments))
+        want_states, want_modes = oracles.mn_dual_states_per_rep(one, basis, keep)
+        assert np.array_equal(_bits(states[r]), _bits(want_states))
+        assert np.array_equal(_bits(modes[:, r]), _bits(want_modes))
+        want_mn, want_qv = oracles.mn_qv_steps_per_rep(dcoef, one, want_modes)
+        for got in (mn[r], mn_fresh[r]):
+            assert np.array_equal(_bits(got), _bits(want_mn))
+        for got in (qv[r], qv_fresh[r]):
+            assert np.array_equal(_bits(got), _bits(want_qv))
+
+
 def test_qv_variance_shrinks_with_n(basis, h0):
     grid = TimeGrid(1.0, 200)
     out = {}
@@ -482,3 +521,25 @@ def test_clt_report_thread_invariance(basis, h0):
     a, _ = clt_report([5], [h0], [1.0], 20, 18, grid, threads=1, **kwargs)
     b, _ = clt_report([5], [h0], [1.0], 20, 18, grid, threads=4, **kwargs)
     assert a == b
+
+
+@pytest.mark.parametrize("deltas", [[0.05], [0.02, 0.1]], ids=["dense-modulus", "pruned-modulus"])
+def test_clt_report_bytes_invariant_to_blocks_and_threads(monkeypatch, deltas):
+    from nucleartight import cli
+
+    # n = 5 on J = 200 runs blocks of 65 repetitions: 150 = 65 + 65 + 20
+    assert max(1, martingales._DRIVER_VALUES // (5 * 200)) == 65
+    cfg = {
+        "basis": {"N": 16, "Q": 32},
+        "grid": {"T": 1.0, "J": 200},
+        "n_list": [5],
+        "reps": 150,
+        "phi_list": [[1.0], [0.0, 1.0], [1.0, 0.0, 1.0]],
+        "times": [0.5, 1.0],
+        "tightness": {"r": 1.0, "c_levels": [0.5, 1.0], "deltas": deltas},
+        "seed": 31,
+    }
+    texts = {t: cli.run_command("clt", cfg, threads=t)[0].to_json() for t in (1, 2, 4)}
+    assert texts[1] == texts[2] == texts[4]
+    oracles.per_rep_clt(monkeypatch)
+    assert cli.run_command("clt", cfg, threads=1)[0].to_json() == texts[1]
