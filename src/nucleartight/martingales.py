@@ -40,7 +40,6 @@ from .hermite import (
     BasisSpec,
     TestFunction,
     derivative_op,
-    hermite_polynomials,
     _gh_rule,
     _hermite_modes,
     _hermite_modes_first,
@@ -287,16 +286,25 @@ class QuadraticForm:
         zero, so every float equals a one-node-at-a-time loop.  No
         ``(R, K, m, m)`` array is built: freeing one lifts the allocator's mmap
         threshold, and with it the peak memory of the thread pools that follow.
+
+        The recurrence stops at the last nonzero row of ``dmat``; the modes
+        past it stay zero in a buffer of all ``N`` columns, so the product
+        keeps its inner dimension and its bits.
         """
         x, wq, _ = _gh_rule(self.basis.quad_order)
         (rows, cols), n_modes = s.shape, self.basis.size
+        top = _span(np.any(dmat, axis=1))
         nodes = max(1, _GRAM_VALUES // (x.size * n_modes))
         row_step, col_step = max(1, nodes // cols), min(cols, nodes)
         out = np.zeros((rows, dmat.shape[1], dmat.shape[1]))
+        buf = np.zeros((min(row_step, rows) * col_step * x.size, n_modes))
         for r in range(0, rows, row_step):
             for k in range(0, cols, col_step):
                 t = s[r : r + row_step, k : k + col_step, None]
-                v = hermite_polynomials(x * np.sqrt(2.0 * t / (2.0 * t + 1.0)), n_modes) @ dmat
+                arg = x * np.sqrt(2.0 * t / (2.0 * t + 1.0))
+                p = buf[: arg.size]
+                p[:, :top] = _hermite_modes_first(arg, top, gaussian=False).reshape(top, arg.size).T
+                v = p.reshape(arg.shape + (n_modes,)) @ dmat
                 g = np.matmul((v * wq[:, None]).swapaxes(-1, -2), v)
                 g /= np.sqrt(np.pi * (2.0 * t[..., None] + 1.0))
                 for i, wi in enumerate(w[k : k + col_step]):

@@ -212,24 +212,64 @@ def _limit_driver_chunk(
     seed: int,
     tag: str,
     indices,
-    prefix=(),
 ) -> np.ndarray:
     """Dual driver states for the given path indices, shape (len, J+1, N).
 
     Normals are drawn per path from streams keyed by the path index, so the
-    result is independent of chunking and threading.
+    draws are independent of chunking and threading.
     """
     steps, modes = factors.shape[0], factors.shape[1]
     z = np.empty((len(indices), steps, modes))
     for c, idx in enumerate(indices):
-        z[c] = stream(seed, tag, *prefix, int(idx)).standard_normal((steps, modes))
+        z[c] = stream(seed, tag, int(idx)).standard_normal((steps, modes))
     return _limit_states(factors, z, basis.size)
+
+
+def _terminal_weights(
+    factors: np.ndarray, basis: BasisSpec, grid: TimeGrid, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terminal value ``<Y_T, phi>`` of a limit-driven mild solution as a
+    linear functional of its normals ``z`` (``(steps, m)``) and initial state:
+    ``<eta, E(T) phi> + sum_j z_j . w_j``.
+
+    By duality with the left-point Duhamel sum of :func:`_mild_states`, step
+    ``j``'s increment ``F_j z_j`` enters with ``v_j = phi + dt sum_{j<l<J}
+    Lap E(T - t_l) phi``, so ``w_j = F_j^T v_j[:m]``.  Returns ``(w, E(T) phi)``.
+    """
+    e_dt, lap = heat_matrix(grid.dt, basis), laplacian_op(basis)
+    flows = np.empty((grid.steps + 1, basis.size))  # flows[k] = E(k dt) phi
+    flows[0] = phi
+    for k in range(1, grid.steps + 1):
+        flows[k] = e_dt @ flows[k - 1]
+    tails = np.zeros((grid.steps, basis.size))  # tails[i] = sum_{k=1..i} Lap E(k dt) phi
+    np.cumsum(flows[1:-1] @ lap, axis=0, out=tails[1:])
+    v = phi + grid.dt * tails[::-1]
+    return np.einsum("jkm,jk->jm", factors, v[:, : factors.shape[1]]), flows[-1]
+
+
+def _calibration_sample(solver, weights, flow, rep: int, side: int, size: int) -> np.ndarray:
+    """Terminal values ``<eta, E(T) phi> + sum_j z_j . w_j`` of ``size`` limit
+    paths (see :func:`_terminal_weights`); path ``i`` draws ``z`` from the
+    stream ``("calibration", rep, side, i)`` and ``eta`` from
+    ``("calibration-initial", rep, side, i)``."""
+    out = np.empty(size)
+    for i in range(size):
+        z = stream(solver.seed, "calibration", rep, side, i).standard_normal(weights.shape)
+        out[i] = solver.initial("calibration-initial", rep, side, i) @ flow + np.vdot(z, weights)
+    return out
 
 
 class _HeatSolver:
     """The solve steps the reports share on one grid: initial state, particle
-    or limit driver, mild solution.  Every draw comes from a stream keyed by
-    its path, so results do not depend on chunking or threading."""
+    or limit driver, mild solution.
+
+    Every draw comes from a stream keyed by its path, and the limit chunk size
+    depends only on the grid and the basis, so results do not depend on
+    threading.  A path's bits do depend on its chunk: the mild solve of a
+    chunk that holds a single path runs matrix-vector products, which round
+    differently (about 1e-14 relative) from the matrix products of a larger
+    chunk.
+    """
 
     def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int = 0, eta_spec=None):
         self.basis, self.grid, self.seed = basis, grid, seed
@@ -252,17 +292,15 @@ class _HeatSolver:
         eta = self.initial("initial", rep)
         return driver, eta, self.solve(driver, eta)
 
-    def limit(self, factors: np.ndarray, count: int, tag: str, *prefix: int):
+    def limit(self, factors: np.ndarray, count: int):
         """Yield ``(drivers, etas, solutions)`` for limit paths ``0..count-1``
-        in chunks of about four million states; initial states come from the
-        streams tagged ``tag + "-initial"``."""
+        in chunks of about four million states, from the streams tagged
+        ``"limit"`` and ``"limit-initial"``."""
         chunk = max(1, 4_000_000 // ((self.grid.steps + 1) * self.basis.size))
         for a in range(0, count, chunk):
             idx = range(a, min(a + chunk, count))
-            drivers = _limit_driver_chunk(
-                factors, self.basis, self.grid, self.seed, tag, idx, prefix
-            )
-            etas = np.array([self.initial(f"{tag}-initial", *prefix, i) for i in idx])
+            drivers = _limit_driver_chunk(factors, self.basis, self.grid, self.seed, "limit", idx)
+            etas = np.array([self.initial("limit-initial", i) for i in idx])
             yield drivers, etas, self.solve(drivers, etas)
 
 
@@ -300,6 +338,13 @@ def heat_convergence_report(
     statistics, per-n joint energy distances and tightness summaries, the
     per-repetition weak-form residual gate, and a null calibration of the
     KS p-value under identical laws.
+
+    The calibration compares two samples of ``<Y_T, phi_0>`` from limit-driven
+    solutions on the calibration grid.  It solves no path: each value is the
+    weak-form functional of :func:`_terminal_weights` applied to the path's
+    normals and initial state, drawn from the streams a full limit path
+    would use.  It agrees with the mild solve to rounding, and the p-values
+    depend only on the ranks of the two samples.
 
     Returns ``(cells, extras)``.
     """
@@ -348,7 +393,7 @@ def heat_convergence_report(
     # --- limit-driven sample ---------------------------------------------
     # a comprehension, so no chunk outlives the rows taken from it
     limit = [
-        path_row(*path) for chunk in solver.limit(factors, reps, "limit") for path in zip(*chunk)
+        path_row(*path) for chunk in solver.limit(factors, reps) for path in zip(*chunk)
     ]
     limit_rows = np.array([r[0] for r in limit])
     limit_cells = limit_rows[:, :width].copy()
@@ -393,18 +438,14 @@ def heat_convergence_report(
     if calibration_reps > 0:
         same = calibration_steps is None or calibration_steps == grid.steps
         cal_grid = grid if same else TimeGrid(grid.horizon, int(calibration_steps))
-        cal = solver if same else _HeatSolver(basis, cal_grid, seed, eta_spec)
         cal_factors = factors if same else _limit_factors(form, cal_grid, basis, limit_modes)
         # the calibration is a pure null check, so the cell choice is free;
         # the horizon is a node of every grid
-        phi0 = phis[0].coeffs
-
-        def side_sample(rep, side):
-            chunks = cal.limit(cal_factors, calibration_size, "calibration", rep, side)
-            return np.array([sol[-1] @ phi0 for _, _, sols in chunks for sol in sols])
+        weights, flow = _terminal_weights(cal_factors, basis, cal_grid, phis[0].coeffs)
 
         def one_calibration(rep):
-            ks = diagnostics.ks_two_sample(side_sample(rep, 0), side_sample(rep, 1))
+            a, b = (_calibration_sample(solver, weights, flow, rep, s, calibration_size) for s in (0, 1))
+            ks = diagnostics.ks_two_sample(a, b)
             return diagnostics.ks_pvalue(ks.statistic, calibration_size, calibration_size)
 
         pvalues = parallel_map(one_calibration, calibration_reps, threads)

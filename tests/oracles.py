@@ -234,6 +234,24 @@ def limit_driver_chunk(factors, basis, grid, seed, tag, indices, prefix=()):
     return states
 
 
+def calibration_sample_paths(basis, cal_grid, factors, phi, seed, eta_spec, rep, side, size):
+    """The heat calibration sample before the weak-form functional: full limit
+    drivers on the calibration grid, in the chunks the limit generator formed,
+    one mild solve per chunk, read at ``<Y_T, phi>``.  A bit-for-bit reference
+    for the old report, so it reuses the package's solver and initial sampler."""
+    from nucleartight.spde import _HeatSolver
+
+    solver = _HeatSolver(basis, cal_grid, seed, eta_spec)
+    chunk = max(1, 4_000_000 // ((cal_grid.steps + 1) * basis.size))
+    out = []
+    for a in range(0, size, chunk):
+        idx = range(a, min(a + chunk, size))
+        drivers = limit_driver_chunk(factors, basis, cal_grid, seed, "calibration", idx, (rep, side))
+        etas = np.array([solver.initial("calibration-initial", rep, side, i) for i in idx])
+        out.extend(sol[-1] @ phi for sol in solver.solve(drivers, etas))
+    return np.array(out)
+
+
 def mn_dual_states_per_rep(particles, basis, keep=0):
     """The particle driver before it took blocks of repetitions: increments of
     one repetition, ``(count, steps)``, in time blocks of ``_DRIVER_VALUES //

@@ -3,11 +3,14 @@ import json
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nucleartight import cli
-from nucleartight.diagnostics import SCHEMA, report_hash, validate_report
-from nucleartight.martingales import NumericalIntegrityError
+import oracles
+from nucleartight import cli, spde
+from nucleartight.diagnostics import SCHEMA, ks_pvalue, ks_two_sample, report_hash, validate_report
+from nucleartight.martingales import NumericalIntegrityError, QuadraticForm
+from nucleartight.paths import TimeGrid
 
 # sha256 of each report without ``metadata.versions``, for the bundled smoke
 # scenarios and GOLDEN_CONFIGS: a change to a reducer or report loop must
@@ -378,6 +381,32 @@ def test_golden_configs(tmp_path, name):
         out = tmp_path / str(threads)
         assert run([command, "--config", str(path), "--out", str(out), "--threads", str(threads)]) == 0
         assert hash_without_versions(read_report(out)) == GOLDEN_HASHES[name]
+
+
+@pytest.mark.parametrize("name", ["heat-smoke", "heat-gaussian", "heat-fixed"])
+def test_golden_calibration_ranks_match_path_built_oracle(name):
+    """The weak-form calibration ranks both samples of every repetition as
+    the full limit-driven mild solves did, so its p-values are equal."""
+    cfg = cli.materialize("heat", cli.load_config(name) if name == "heat-smoke" else GOLDEN_CONFIGS[name][1])
+    report, _, _ = cli.run_command("heat", cfg)
+    cal = report.metadata["extras"]["calibration"]
+    basis, grid = cli._basis_from(cfg), cli._grid_from(cfg)
+    cal_grid = TimeGrid(grid.horizon, cal["steps"])
+    phi = cli._phis_from(cfg, basis)[0].coeffs
+    factors = spde._limit_factors(QuadraticForm(basis), cal_grid, basis, cfg["limit_modes"])
+    weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
+    solver = spde._HeatSolver(basis, grid, cfg["seed"], cfg["eta"])
+    size, pvalues = cal["size"], []
+    for rep in range(cal["reps"]):
+        sides = []
+        for side in (0, 1):
+            keys = (cfg["seed"], cfg["eta"], rep, side, size)
+            want = oracles.calibration_sample_paths(basis, cal_grid, factors, phi, *keys)
+            got = spde._calibration_sample(solver, weights, flow, rep, side, size)
+            assert np.array_equal(np.argsort(got), np.argsort(want))
+            sides.append(want)
+        pvalues.append(ks_pvalue(ks_two_sample(*sides).statistic, size, size))
+    assert cal["pvalues"] == pvalues
 
 
 def test_numerical_integrity_exit_code(tmp_path, monkeypatch, capsys):

@@ -147,6 +147,26 @@ def _derivative_columns(basis, modes):
     return derivative_op(basis) @ rng.standard_normal((basis.size, modes))
 
 
+# test functions whose derivative columns stop short of the basis, as the
+# reports build them: the heat limit's first m unit functions (span m + 1),
+# two clt-style functions (spans 3 and 4) and two zero functions
+SHORT_SPANS = ["heat-3", "heat-4", "heat-9", "heat-12", "clt-2", "zero"]
+
+
+def _short_span_phis(basis, case):
+    if case.startswith("heat-"):
+        return [unit_function(basis, k) for k in range(int(case[5:]))]
+    coeffs = {"clt-2": [[0.5, 1.0], [0.3, -0.2, 1.0]], "zero": [[0.0], [0.0]]}[case]
+    return [TestFunction(basis, np.r_[c, np.zeros(basis.size - len(c))]) for c in coeffs]
+
+
+def _case_dmat(form, case):
+    """Random full-span derivative columns for an int case, else a short-span case's."""
+    if isinstance(case, int):
+        return _derivative_columns(form.basis, case)
+    return form._dmat(_short_span_phis(form.basis, case))
+
+
 def _chunk_nodes(monkeypatch, basis, nodes):
     """Make the Gram kernel evaluate ``nodes`` quadrature nodes per chunk."""
     if nodes is not None:
@@ -154,7 +174,7 @@ def _chunk_nodes(monkeypatch, basis, nodes):
 
 
 # with BasisSpec(16, 32) the kernel's own chunk is 250_000 // 512 = 488 nodes
-@pytest.mark.parametrize("modes", [1, 3, 16])
+@pytest.mark.parametrize("modes", [1, 3, 16, *SHORT_SPANS])
 @pytest.mark.parametrize(
     "steps, gl_points, nodes",
     [(1, 4, None), (1, 2, 5), (300, 4, None), (300, 2, None), (7, 2, 5), (6, 4, 3)],
@@ -169,15 +189,16 @@ def _chunk_nodes(monkeypatch, basis, nodes):
 )
 def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, steps, gl_points, nodes):
     _chunk_nodes(monkeypatch, basis, nodes)
-    dmat = _derivative_columns(basis, modes)
+    form = QuadraticForm(basis)
+    dmat = _case_dmat(form, modes)
     grid = TimeGrid(1.0, steps)
-    got = QuadraticForm(basis).increment_covariances(grid, dmat, gl_points)
+    got = form.increment_covariances(grid, dmat, gl_points)
     want = oracles.increment_covariances_per_node(basis, grid, dmat, gl_points)
-    assert got.shape == (steps, modes, modes)
+    assert got.shape == (steps, dmat.shape[1], dmat.shape[1])
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("modes", [1, 3, 16])
+@pytest.mark.parametrize("modes", [1, 3, 16, *SHORT_SPANS])
 @pytest.mark.parametrize(
     "t, nodes",
     [(0.1, 5), (1.0, 5), (1.0, None), (6.2, None)],
@@ -186,11 +207,29 @@ def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, st
 )
 def test_covariance_matrix_matches_per_node_loop(basis, monkeypatch, modes, t, nodes):
     _chunk_nodes(monkeypatch, basis, nodes)
-    rng = np.random.default_rng(modes)
-    phis = [TestFunction(basis, rng.standard_normal(basis.size)) for _ in range(modes)]
+    if isinstance(modes, int):
+        rng = np.random.default_rng(modes)
+        phis = [TestFunction(basis, rng.standard_normal(basis.size)) for _ in range(modes)]
+    else:
+        phis = _short_span_phis(basis, modes)
     form = QuadraticForm(basis)
     want = oracles.covariance_matrix_per_node(basis, t, form._dmat(phis))
     assert np.array_equal(form.covariance_matrix(t, phis), want)
+
+
+@pytest.mark.parametrize("case, span", [("heat-3", 4), ("clt-2", 4), ("zero", 0), (3, 16)])
+def test_gram_recurrence_stops_at_the_span(basis, monkeypatch, case, span):
+    counts = []
+
+    def modes_first(x, count, gaussian=True):
+        counts.append(count)
+        return hermite_modes_first(x, count, gaussian)
+
+    hermite_modes_first = martingales._hermite_modes_first
+    monkeypatch.setattr(martingales, "_hermite_modes_first", modes_first)
+    form = QuadraticForm(basis)
+    form.increment_covariances(TimeGrid(1.0, 30), _case_dmat(form, case))
+    assert counts and set(counts) == {span}
 
 
 @pytest.mark.parametrize("size", [2, 64])
@@ -424,15 +463,9 @@ def test_limit_samplers_match_parent(basis, count, coeffs, steps):
         oracles.sample_limit_states(factors, count, 21, 3),
     )
     # the heat driver: one stream per path, zero-padded to basis.size columns
-    for modes, indices, prefix in [
-        (1, range(4), ()),
-        (5, range(2, 7), ()),
-        (basis.size, range(3), ()),
-        (5, [6], ()),
-        (5, range(1, 4), (2, 1)),
-    ]:
+    for modes, indices in [(1, range(4)), (5, range(2, 7)), (basis.size, range(3)), (5, [6])]:
         factors = spde._limit_factors(form, grid, basis, modes)
-        args = (factors, basis, grid, 21, "limit", indices, prefix)
+        args = (factors, basis, grid, 21, "limit", indices)
         assert np.array_equal(spde._limit_driver_chunk(*args), oracles.limit_driver_chunk(*args))
 
 

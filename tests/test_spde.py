@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from nucleartight import spde
 from nucleartight.hermite import (
     BasisSpec,
     DualElement,
@@ -8,7 +10,7 @@ from nucleartight.hermite import (
     heat_matrix,
     pairing,
 )
-from nucleartight.martingales import simulate_particles
+from nucleartight.martingales import QuadraticForm, simulate_particles
 from nucleartight.paths import DualPath, TimeGrid, containment_summary, dual_path_stats
 from nucleartight.spde import (
     heat_convergence_report,
@@ -231,6 +233,34 @@ def test_heat_report_calibration(heat_smoke):
     assert cal["reps"] == 4
     assert len(cal["pvalues"]) == 4
     assert 0.0 <= cal["fraction_below_5"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "eta_spec",
+    [
+        {"kind": "zero"},
+        {"kind": "fixed-coeffs", "coeffs": list(np.linspace(1.0, -0.5, 16))},
+        {"kind": "gaussian", "r": 1.0, "scale": 0.5},
+    ],
+    ids=["zero", "fixed-coeffs", "gaussian"],
+)
+@pytest.mark.parametrize("cal_steps, modes", [(40, 5), (20, 5), (20, 16)], ids=["main-grid", "coarser-grid", "all-modes"])
+def test_calibration_functional_matches_mild_solves(basis, eta_spec, cal_steps, modes):
+    """Each calibration value equals ``<Y_T, phi>`` of the limit-driven mild
+    solve it replaced, from the same normals and initial state."""
+    cal_grid = TimeGrid(1.0, cal_steps)
+    phi = np.r_[0.5, 1.0, np.zeros(basis.size - 2)]
+    factors = spde._limit_factors(QuadraticForm(basis), cal_grid, basis, modes)
+    # the report samples initial states through its main-grid solver
+    solver = spde._HeatSolver(basis, TimeGrid(1.0, 40), 7, eta_spec)
+    weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
+    assert weights.shape == (cal_steps, modes)
+    for rep, side in [(0, 0), (2, 1)]:
+        got = spde._calibration_sample(solver, weights, flow, rep, side, 25)
+        want = oracles.calibration_sample_paths(basis, cal_grid, factors, phi, 7, eta_spec, rep, side, 25)
+        # relative to the sample's scale: a value near zero is a cancellation,
+        # and its own relative error says nothing about the functional
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_brownian_ensemble_modulus_median_monotone(basis, grid):
