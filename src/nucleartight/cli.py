@@ -2,10 +2,14 @@
 
 Subcommands::
 
-    nucleartight basis-check --config CFG [--out DIR]
+    nucleartight basis-check --config CFG [--out DIR] [--dump-paths]
     nucleartight clt         --config CFG [--out DIR] [--seed S] [--threads T] [--dump-paths]
     nucleartight heat        --config CFG [--out DIR] [--seed S] [--threads T] [--dump-paths]
     nucleartight tightness   --config CFG [--out DIR] [--seed S] [--threads T]
+
+``--dump-paths`` also writes CSVs under ``OUT/cells``: the operator matrices
+for basis-check, the dual paths for clt and heat.  The tightness report keeps
+no paths, so its parser rejects the flag (exit 2).
 
 ``--config`` accepts a filesystem path or the name of a bundled scenario
 (``clt-small``, ``heat-small``, ...).  All defaults are materialized into the
@@ -47,10 +51,9 @@ from .hermite import (
     quadrature_nodes,
     quadrature_weights,
     seminorm,
-    write_matrix_csv,
 )
 from .martingales import NumericalIntegrityError, clt_report
-from .paths import TimeGrid, write_dual_paths_csv
+from .paths import TimeGrid, write_array_csv
 from .rng import stream
 from .spde import heat_convergence_report, tightness_report
 
@@ -70,6 +73,20 @@ _COMMON_DEFAULTS = {
     "seed": 20260810,
 }
 
+# the fields every particle-ensemble command shares
+_ENSEMBLE_DEFAULTS = {
+    **_COMMON_DEFAULTS,
+    "grid": {"T": 1.0, "J": 1000},
+    "n_list": [10, 40, 160],
+    "reps": 2000,
+    "tightness": {
+        "r": 1.0,
+        "c_levels": [0.5, 1.0, 2.0, 4.0],
+        "deltas": [0.01, 0.02, 0.05, 0.1, 0.2],
+    },
+}
+_CELL_DEFAULTS = {"phi_list": [[1.0]], "times": [0.5, 1.0]}
+
 _DEFAULTS = {
     "basis-check": {
         **_COMMON_DEFAULTS,
@@ -78,49 +95,20 @@ _DEFAULTS = {
         "heat_times": [0.2, 0.3, 0.5],
         "random_pairs": 1000,
     },
-    "clt": {
-        **_COMMON_DEFAULTS,
-        "grid": {"T": 1.0, "J": 1000},
-        "n_list": [10, 40, 160],
-        "reps": 2000,
-        "phi_list": [[1.0]],
-        "times": [0.5, 1.0],
-        "tightness": {
-            "r": 1.0,
-            "c_levels": [0.5, 1.0, 2.0, 4.0],
-            "deltas": [0.01, 0.02, 0.05, 0.1, 0.2],
-        },
-    },
+    "clt": {**_ENSEMBLE_DEFAULTS, **_CELL_DEFAULTS},
     "heat": {
-        **_COMMON_DEFAULTS,
-        "grid": {"T": 1.0, "J": 1000},
-        "n_list": [10, 40, 160],
-        "reps": 2000,
-        "phi_list": [[1.0]],
-        "times": [0.5, 1.0],
+        **_ENSEMBLE_DEFAULTS,
+        **_CELL_DEFAULTS,
         "eta": {"kind": "zero"},
         "limit_modes": 16,
         "residual_gate_factor": 10.0,
         "calibration": {"reps": 50, "size": 500, "steps": None},
-        "tightness": {
-            "r": 1.0,
-            "c_levels": [0.5, 1.0, 2.0, 4.0],
-            "deltas": [0.01, 0.02, 0.05, 0.1, 0.2],
-        },
     },
     "tightness": {
-        **_COMMON_DEFAULTS,
-        "grid": {"T": 1.0, "J": 1000},
-        "n_list": [10, 40, 160],
-        "reps": 2000,
+        **_ENSEMBLE_DEFAULTS,
         "eta": {"kind": "zero"},
         "quantile": 0.99,
         "gate_ratio": 2.0,
-        "tightness": {
-            "r": 1.0,
-            "c_levels": [0.5, 1.0, 2.0, 4.0],
-            "deltas": [0.01, 0.02, 0.05, 0.1, 0.2],
-        },
     },
 }
 
@@ -236,6 +224,7 @@ def materialize(command: str, cfg: dict) -> dict:
             "n_list",
             "must be a nonempty list of particle counts >= 1",
         )
+        _require(len(set(n_list)) == len(n_list), "n_list", "must hold distinct particle counts")
         if command != "tightness":
             _check_cells(merged, basis, grid)
         if command != "clt":
@@ -551,19 +540,17 @@ def run_command(command: str, cfg: dict, threads: int = 1, dump: bool = False):
 
 def _dump_paths(command: str, cfg: dict, extras: dict, out_dir: Path) -> None:
     cell_dir = out_dir / "cells"
-    if command == "basis-check":
-        # operator matrices for debugging
+    cell_dir.mkdir(parents=True, exist_ok=True)
+    if command == "basis-check":  # operator matrices for debugging
         basis = _basis_from(cfg)
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        write_matrix_csv(derivative_op(basis), cell_dir / "derivative.csv")
-        write_matrix_csv(laplacian_op(basis), cell_dir / "laplacian.csv")
-        write_matrix_csv(
-            heat_matrix(float(cfg["heat_times"][-1]), basis), cell_dir / "heat.csv"
-        )
-        return
-    for key, states_list in (extras.get("paths") or {}).items():
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        write_dual_paths_csv(np.array(states_list), cell_dir / f"{command}-{key}-dual.csv")
+        for name, matrix in (
+            ("derivative", derivative_op(basis)),
+            ("laplacian", laplacian_op(basis)),
+            ("heat", heat_matrix(float(cfg["heat_times"][-1]), basis)),
+        ):
+            write_array_csv(matrix, cell_dir / f"{name}.csv", ("i", "j"))
+    for key, states in extras.get("paths", {}).items():
+        write_array_csv(states, cell_dir / f"{command}-{key}-dual.csv", ("path", "step", "k"))
 
 
 def main(argv=None) -> int:
@@ -583,8 +570,10 @@ def main(argv=None) -> int:
             help="worker hint (default: config 'threads' or 1); never affects results",
         )
         cmd.add_argument("--out", default="nucleartight-out", help="output directory")
-        cmd.add_argument("--dump-paths", action="store_true", help="also write raw path CSVs")
+        if name != "tightness":  # its report keeps no paths: argparse rejects the flag
+            cmd.add_argument("--dump-paths", action="store_true", help="also write raw path CSVs")
     args = parser.parse_args(argv)
+    dump = getattr(args, "dump_paths", False)
 
     try:
         cfg = load_config(args.config)
@@ -595,7 +584,7 @@ def main(argv=None) -> int:
         threads = args.threads if args.threads is not None else cfg.get("threads", 1)
         _require(type(threads) is int, "threads", "must be an integer")
         report, ok, extras = run_command(
-            args.command, cfg, threads=max(1, int(threads)), dump=args.dump_paths
+            args.command, cfg, threads=max(1, int(threads)), dump=dump
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -612,7 +601,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
-    if args.dump_paths:
+    if dump:
         full = materialize(args.command, cfg)
         _dump_paths(args.command, full, extras, out_dir)
 

@@ -55,7 +55,6 @@ __all__ = [
     "hs_tail_bound",
     "pairing",
     "heat_flow_ground_state",
-    "write_matrix_csv",
 ]
 
 
@@ -424,13 +423,3 @@ def hs_tail_bound(r, s, n_terms: int) -> float:
     if g <= 0.5:
         raise ValueError("tail bound requires gap > 1/2")
     return float((2.0 * n_terms + 1.0) ** (1.0 - 2.0 * g) / (2.0 * g - 1.0))
-
-
-def write_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Dump a matrix as CSV rows ``i,j,value`` in row-major order."""
-    m = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,value\n")
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                fh.write(f"{i},{j},{float(m[i, j])!r}\n")

@@ -59,6 +59,7 @@ __all__ = [
     "simulate_limit",
     "clt_report",
     "parallel_map",
+    "run_blocks",
 ]
 
 
@@ -191,9 +192,33 @@ def quadratic_variation_path(
 
 # values per (particles, block) mode buffer of _mn_dual_states (512 kB); smaller
 # blocks run faster on one thread but stall two pool threads on the GIL.  It
-# sizes clt_report's blocks of repetitions too: as many as fill one buffer
-# over the whole grid, at least one.
+# sizes the blocks of repetitions of run_blocks too.
 _DRIVER_VALUES = 65_536
+
+
+def run_blocks(n: int, reps: int, grid: TimeGrid, basis: BasisSpec, seed: int, threads: int, reduce):
+    """Map ``reduce`` over repetitions ``0..reps-1`` of ``n`` particles, in blocks
+    of ``max(1, _DRIVER_VALUES // (J max(n, N)))`` repetitions: the bound holds
+    both a block's ``(n, J)`` mode buffer and its ``(J+1, N)`` states.
+
+    ``reduce`` gets one block's :class:`ParticleEnsemble` and returns a tuple
+    of arrays with one leading entry per repetition, or ``None`` for one it
+    does not collect; each is concatenated in repetition order.  Repetition
+    ``rep`` draws from its own stream, so neither the blocks nor ``threads``
+    change a bit when ``reduce`` gives each repetition the bits it gets alone.
+    """
+    size = max(1, _DRIVER_VALUES // (grid.steps * max(n, basis.size)))
+
+    def block(i):
+        return reduce(simulate_particles(n, grid, seed, range(i * size, min(i * size + size, reps))))
+
+    return concatenate_blocks(parallel_map(block, -(-reps // size), threads))
+
+
+def concatenate_blocks(results) -> tuple:
+    """Concatenate the per-block tuples of arrays, field by field, in order;
+    a field the blocks return as ``None`` stays ``None``."""
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*results))
 
 
 def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0):
@@ -448,11 +473,12 @@ def clt_report(
     ``(phi, t)`` vector and a sample of the Gaussian limit, plus dual-path
     tightness summaries.
 
-    The repetitions of one ``n`` run in blocks of ``_DRIVER_VALUES // (n J)``
-    (at least one): one driver, quadratic-variation and modulus pass per
-    block.  Repetition ``rep`` still draws from its own stream and gets the
-    bits it gets alone, so the report depends on neither the blocks nor
-    ``threads``.
+    The repetitions of one ``n`` run in the blocks of :func:`run_blocks`,
+    ``max(1, _DRIVER_VALUES // (J max(n, N)))`` of them (20 for ``n = 5`` and
+    16 for ``n = 20`` at ``J = 200``, ``N = 16``): one driver,
+    quadratic-variation and modulus pass per block.  Repetition ``rep`` still
+    draws from its own stream and gets the bits it gets alone, so the report
+    depends on neither the blocks nor ``threads``.
 
     Returns ``(cells, extras)`` where ``extras`` carries per-n summaries and
     optional raw paths, ``(reps, J+1, N)`` per ``n`` (``collect_paths=True``).
@@ -479,27 +505,22 @@ def clt_report(
     deltas = [float(d) for d in tightness_deltas]
     levels = [float(c) for c in tightness_levels]
 
+    def one_block(particles):
+        states, modes = _mn_dual_states(particles, basis, keep)
+        mn = np.empty((states.shape[0], len(phis), len(times)))
+        qv = np.empty(mn.shape)
+        for a, dcoef in enumerate(dcoefs):
+            mn_steps, qv_steps = _mn_qv_steps(dcoef, particles, modes)
+            mn[:, a] = _cumulative(mn_steps)[:, t_idx]
+            qv[:, a] = _cumulative(qv_steps)[:, t_idx]
+        sup, mods = dual_path_stats(states, grid, deltas, tightness_index)
+        return mn, qv, sup, mods, states if collect_paths else None
+
     cells = []
     extras = {"per_n": {}, "paths": {}}
     for n in n_list:
-        # repetitions per block: as many as fill one driver buffer, at least one
-        size = max(1, _DRIVER_VALUES // (n * grid.steps))
-
-        def one_block(i, n=n, size=size):
-            particles = simulate_particles(n, grid, seed, range(i * size, min(i * size + size, reps)))
-            states, modes = _mn_dual_states(particles, basis, keep)
-            mn = np.empty((states.shape[0], len(phis), len(times)))
-            qv = np.empty(mn.shape)
-            for a, dcoef in enumerate(dcoefs):
-                mn_steps, qv_steps = _mn_qv_steps(dcoef, particles, modes)
-                mn[:, a] = _cumulative(mn_steps)[:, t_idx]
-                qv[:, a] = _cumulative(qv_steps)[:, t_idx]
-            sup, mods = dual_path_stats(states, grid, deltas, tightness_index)
-            return mn, qv, sup, mods, states if collect_paths else None
-
-        results = parallel_map(one_block, -(-reps // size), threads)
-        # (reps, phi, t), (reps, phi, t), (reps,) and (reps, deltas)
-        mn_vals, qv_vals, sups, mod_table = (np.concatenate(r) for r in list(zip(*results))[:4])
+        # (reps, phi, t), (reps, phi, t), (reps,), (reps, deltas) and the paths
+        mn_vals, qv_vals, sups, mod_table, states = run_blocks(n, reps, grid, basis, seed, threads, one_block)
 
         joint = mn_vals.reshape(reps, -1)
         energy, energy_se = diagnostics.energy_distance_with_se(joint, limit_joint)
@@ -511,7 +532,7 @@ def clt_report(
             "tightness": tightness,
         }
         if collect_paths:
-            extras["paths"][n] = np.concatenate([r[4] for r in results])
+            extras["paths"][n] = states
 
         for a, phi in enumerate(phis):
             for b, t in enumerate(times):

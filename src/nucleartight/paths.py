@@ -39,7 +39,7 @@ __all__ = [
     "sup_dual_norm",
     "dual_path_stats",
     "containment_summary",
-    "write_dual_paths_csv",
+    "write_array_csv",
 ]
 
 
@@ -334,12 +334,15 @@ def containment_summary(
 # ---------------------------------------------------------------------------
 
 
-def write_dual_paths_csv(states, path) -> None:
-    """Rows ``path,step,k,value`` of an ``(M, J+1, N)`` batch; floats via repr."""
-    s = np.asarray(states, dtype=float)
-    if s.ndim != 3:
-        raise ValueError("states must have shape (M, J+1, N)")
+def write_array_csv(array, path, index_names) -> None:
+    """Rows ``index...,value`` of an array in row-major order under the header
+    ``index_names...,value``, one name per axis; floats via repr, so they read
+    back exactly.  The CLI dumps matrices as ``i,j`` and ``(M, J+1, N)`` path
+    batches as ``path,step,k``."""
+    a = np.asarray(array, dtype=float)
+    if a.ndim != len(index_names):
+        raise ValueError(f"array must have {len(index_names)} axes, one per index name")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("path,step,k,value\n")
-        for (i, j, k), v in np.ndenumerate(s):
-            fh.write(f"{i},{j},{k},{float(v)!r}\n")
+        fh.write(",".join([*index_names, "value"]) + "\n")
+        for index, v in np.ndenumerate(a):
+            fh.write(f"{','.join(map(str, index))},{float(v)!r}\n")

@@ -44,8 +44,9 @@ from .martingales import (
     _mn_dual_states,
     _phi_label,
     _sqrt_factors,
+    concatenate_blocks,
     parallel_map,
-    simulate_particles,
+    run_blocks,
 )
 from .paths import (
     DualPath,
@@ -263,10 +264,13 @@ class _HeatSolver:
     """The solve steps the reports share on one grid: initial state, particle
     or limit driver, mild solution.
 
-    Every draw comes from a stream keyed by its path, and the limit chunk size
-    depends only on the grid and the basis, so results do not depend on
-    threading.  A path's bits do depend on its chunk: the mild solve of a
-    chunk that holds a single path runs matrix-vector products, which round
+    Every draw comes from a stream keyed by its path.  Particle repetitions
+    come in the blocks of :func:`run_blocks`, ``max(1, 65,536 // (J max(n,
+    N)))`` each (one at ``J = 1000``, ``N = 64``; 20 for ``n = 5`` at ``J =
+    200``, ``N = 16``), and get one mild solve each; the limit chunk size
+    depends only on the grid and the basis, so results depend on neither the
+    blocks nor threading.  A limit path's bits do depend on its chunk: the
+    mild solve of a single path runs matrix-vector products, which round
     differently (about 1e-14 relative) from the matrix products of a larger
     chunk.
     """
@@ -285,12 +289,12 @@ class _HeatSolver:
     def solve(self, driver_states: np.ndarray, eta: np.ndarray) -> np.ndarray:
         return _mild_states(driver_states, eta, self.e_dt, self.main, self.off, self.grid.dt)
 
-    def particle(self, n: int, rep: int):
-        """``(driver, eta, solution)`` of repetition ``rep`` with ``n`` particles."""
-        particles = simulate_particles(n, self.grid, self.seed, stream_id=rep)
-        driver = _mn_dual_states(particles, self.basis)[0]
-        eta = self.initial("initial", rep)
-        return driver, eta, self.solve(driver, eta)
+    def particle_block(self, particles: ParticleEnsemble):
+        """``(drivers, etas, solutions)`` of a block of particle repetitions,
+        one row per index of ``particles.stream_id``."""
+        drivers = _mn_dual_states(particles, self.basis)[0]
+        etas = np.array([self.initial("initial", rep) for rep in particles.stream_id])
+        return drivers, etas, np.array([self.solve(d, e) for d, e in zip(drivers, etas)])
 
     def limit(self, factors: np.ndarray, count: int):
         """Yield ``(drivers, etas, solutions)`` for limit paths ``0..count-1``
@@ -361,7 +365,6 @@ def heat_convergence_report(
             raise ValueError("test functions must share a basis")
 
     cell_vectors = [(phi.coeffs, grid.index_of(t)) for phi, t in product(phis, times)]
-    width = len(cell_vectors)
     deltas = [float(d) for d in tightness_deltas]
     levels = [float(c) for c in tightness_levels]
     gate = residual_gate_factor * grid.dt
@@ -369,48 +372,43 @@ def heat_convergence_report(
     factors = _limit_factors(form, grid, basis, limit_modes)
     solver = _HeatSolver(basis, grid, seed, eta_spec)
 
-    def path_row(driver, eta, sol):
-        """One path as ``[cells..., sup, moduli..., residual over every phi]``,
-        with the solution itself when paths are collected."""
-        sup, mods = dual_path_stats(sol, grid, deltas, tightness_index)
-        y, m = DualPath(grid, basis, sol), DualPath(grid, basis, driver)
-        e = DualElement(basis, eta)
-        resid = max(weak_form_residual(y, m, e, phi) for phi in phis)
-        row = np.array([*(sol[j] @ c for c, j in cell_vectors), sup, *mods, resid])
-        return row, sol if collect_paths else None
+    def reduce(drivers, etas, sols):
+        """Per path: cell values, sup, moduli, the largest weak-form residual
+        over every phi, and the solution itself when paths are collected."""
+        cells = np.array([[sol[j] @ c for c, j in cell_vectors] for sol in sols])
+        sup, mods = dual_path_stats(sols, grid, deltas, tightness_index)
+        resid = []
+        for driver, eta, sol in zip(drivers, etas, sols):
+            y, m, e = DualPath(grid, basis, sol), DualPath(grid, basis, driver), DualElement(basis, eta)
+            resid.append(max(weak_form_residual(y, m, e, phi) for phi in phis))
+        return cells, sup, mods, np.array(resid), sols if collect_paths else None
 
-    def summary(rows: np.ndarray) -> dict:
-        resid_max = float(rows[:, -1].max())
+    def summary(sup, mods, resid) -> dict:
+        resid_max = float(resid.max())
         return {
-            "tightness": containment_summary(
-                rows[:, width], rows[:, width + 1 : -1], levels, deltas
-            ),
+            "tightness": containment_summary(sup, mods, levels, deltas),
             "residual_max": resid_max,
             "residual_gate": gate,
             "residual_pass": bool(resid_max < gate),
         }
 
     # --- limit-driven sample ---------------------------------------------
-    # a comprehension, so no chunk outlives the rows taken from it
-    limit = [
-        path_row(*path) for chunk in solver.limit(factors, reps) for path in zip(*chunk)
-    ]
-    limit_rows = np.array([r[0] for r in limit])
-    limit_cells = limit_rows[:, :width].copy()
-    extras = {"per_n": {}, "limit": {"modes": limit_modes, **summary(limit_rows)}, "paths": {}}
+    limit_cells, *stats, limit_paths = concatenate_blocks([reduce(*chunk) for chunk in solver.limit(factors, reps)])
+    extras = {"per_n": {}, "limit": {"modes": limit_modes, **summary(*stats)}, "paths": {}}
     if collect_paths:
-        extras["paths"]["limit"] = [r[1] for r in limit]
+        extras["paths"]["limit"] = limit_paths
 
     # --- particle-driven samples ------------------------------------------
+    def particle_block(particles):
+        return reduce(*solver.particle_block(particles))
+
     cells = []
     for n in n_list:
-        results = parallel_map(lambda rep, n=n: path_row(*solver.particle(n, rep)), reps, threads)
-        rows = np.array([r[0] for r in results])
-        n_cells = rows[:, :width].copy()
+        n_cells, *stats, n_paths = run_blocks(n, reps, grid, basis, seed, threads, particle_block)
         energy, energy_se = diagnostics.energy_distance_with_se(n_cells, limit_cells)
-        extras["per_n"][n] = {"energy": energy, "energy_se": energy_se, **summary(rows)}
+        extras["per_n"][n] = {"energy": energy, "energy_se": energy_se, **summary(*stats)}
         if collect_paths:
-            extras["paths"][n] = [r[1] for r in results]
+            extras["paths"][n] = n_paths
 
         for pos, (phi, t) in enumerate(product(phis, times)):
             a = n_cells[:, pos]
@@ -497,27 +495,22 @@ def tightness_report(
     solver = _HeatSolver(basis, grid, seed, eta_spec)
     weights = SeminormIndex(float(tightness_index)).dual_weights(basis.size)
 
+    def particle_block(particles):
+        drivers, _, sols = solver.particle_block(particles)
+        both = np.stack((drivers, sols), axis=1)  # (reps, driver or solution, J+1, N)
+        sups, mods = dual_path_stats(both, grid, deltas, tightness_index)
+        ends = np.sqrt(np.sum((both[:, :, -1] * weights) ** 2, axis=-1))
+        return sups, mods, ends
+
     cells = []
     driver_q = {}
     for n in n_list:
-
-        def one_rep(rep, n=n):
-            driver, _, sol = solver.particle(n, rep)
-            both = np.stack((driver, sol))
-            sups, mods = dual_path_stats(both, grid, deltas, tightness_index)
-            ends = np.sqrt(np.sum((both[:, -1] * weights) ** 2, axis=-1))
-            # one row: driver (sup, moduli, end norm), then the same for the solution
-            return np.column_stack((sups, mods, ends)).ravel()
-
-        rows = np.array(parallel_map(one_rep, reps, threads))
-        width = 2 + len(deltas)
+        sups, mods, ends = run_blocks(n, reps, grid, basis, seed, threads, particle_block)
         blocks = {}
-        for name, start in (("driver", 0), ("solution", width)):
-            sups = rows[:, start]
-            mods = rows[:, start + 1 : start + 1 + len(deltas)]
-            blocks[name] = containment_summary(sups, mods, levels, deltas)
-            blocks[name]["sup_quantile"] = float(np.quantile(sups, quantile))
-            blocks[name]["end_norm_median"] = float(np.median(rows[:, start + width - 1]))
+        for name, i in (("driver", 0), ("solution", 1)):
+            blocks[name] = containment_summary(sups[:, i], mods[:, i], levels, deltas)
+            blocks[name]["sup_quantile"] = float(np.quantile(sups[:, i], quantile))
+            blocks[name]["end_norm_median"] = float(np.median(ends[:, i]))
         driver_q[n] = blocks["driver"]["sup_quantile"]
         cells.append(
             {

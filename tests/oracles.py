@@ -309,10 +309,11 @@ def repetition(particles, r):
     )
 
 
-def per_rep_clt(monkeypatch):
-    """Make ``clt_report`` run the per-repetition driver, QV loop and modulus
-    on every repetition of its blocks, one repetition at a time."""
-    from nucleartight import martingales, paths
+def per_rep_drivers(monkeypatch):
+    """Make the clt, heat and tightness reports run the per-repetition driver,
+    QV loop and modulus on every repetition of their blocks (and every path of
+    a heat limit chunk), one repetition at a time."""
+    from nucleartight import martingales, paths, spde
 
     def driver(particles, basis, keep=0):
         outs = [mn_dual_states_per_rep(repetition(particles, r), basis, keep) for r in range(len(particles.stream_id))]
@@ -329,6 +330,7 @@ def per_rep_clt(monkeypatch):
         outs = [paths.dual_path_stats(x, grid, deltas, r) for x in states]
         return np.array([o[0] for o in outs]), np.array([o[1] for o in outs])
 
-    monkeypatch.setattr(martingales, "_mn_dual_states", driver)
+    for module in (martingales, spde):
+        monkeypatch.setattr(module, "_mn_dual_states", driver)
+        monkeypatch.setattr(module, "dual_path_stats", path_stats)
     monkeypatch.setattr(martingales, "_mn_qv_steps", qv_steps)
-    monkeypatch.setattr(martingales, "dual_path_stats", path_stats)

@@ -31,6 +31,13 @@ DUMP_HASHES = {
     "heat-limit-dual.csv": "661845771d09f2f69530321ed88bc90a594a341b147b1766635f3ce2ac13208c",
 }
 
+# sha256 of the basis-default ``--dump-paths`` operator matrices
+MATRIX_DUMP_HASHES = {
+    "derivative.csv": "8280c9337699668aaa6d9daa31ed7de2e9f52a0f48cce9b63529bb4a505c097f",
+    "heat.csv": "ac1880977fc3988c6ad0631f542628f0ed8a53003bb64de7b95d7987b4538801",
+    "laplacian.csv": "f1068fb8f828864197dc1399cf4d198eee0288c016b0a2a54975e351d29ea84d",
+}
+
 # configs the smoke scenarios leave out: gaussian and fixed-coeffs initial
 # states, two test functions, a calibration grid coarser than the main one,
 # and clt test functions at the edges of the shared Hermite pass (a zero phi
@@ -98,6 +105,10 @@ WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench"
 
 def run(args):
     return cli.main(args)
+
+
+def dump_digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (out / "cells").iterdir()}
 
 
 def read_report(out_dir):
@@ -182,6 +193,10 @@ def test_rejects_bad_fields(tmp_path, capsys):
         cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, **field}))
         assert run(["basis-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: field {name}:" in capsys.readouterr().err
+    for command in ("clt", "heat", "tightness"):
+        cfg.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, "n_list": [3, 3]}))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: field n_list: must hold distinct particle counts" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -365,11 +380,25 @@ def test_dump_paths_writes_csv(tmp_path):
     assert any(name.startswith("heat-5") for name in cell_files)
     header = (out / "cells" / cell_files[0]).read_text().splitlines()[0]
     assert header == "path,step,k,value"
-    digests = {
-        name: hashlib.sha256((out / "cells" / name).read_bytes()).hexdigest()
-        for name in cell_files
-    }
-    assert digests == DUMP_HASHES
+    assert dump_digests(out) == DUMP_HASHES
+
+
+def test_basis_check_dump_paths_writes_matrices(tmp_path):
+    out = tmp_path / "out"
+    assert run(["basis-check", "--config", "basis-default", "--out", str(out), "--dump-paths"]) == 0
+    assert (out / "cells" / "heat.csv").read_text().splitlines()[0] == "i,j,value"
+    assert dump_digests(out) == MATRIX_DUMP_HASHES
+
+
+def test_tightness_rejects_dump_paths(tmp_path, capsys):
+    """The tightness report keeps no paths, so there is nothing to dump."""
+    with pytest.raises(SystemExit) as exit_info:
+        run(["tightness", "--config", "tightness-smoke", "--out", str(tmp_path / "o"), "--dump-paths"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --dump-paths" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))

@@ -24,10 +24,10 @@ from nucleartight.hermite import (
     quadrature_nodes,
     quadrature_weights,
     seminorm,
-    write_matrix_csv,
     _hermite_modes,
     _hermite_modes_first,
 )
+from nucleartight.paths import write_array_csv
 
 from conftest import unit_function
 
@@ -346,7 +346,7 @@ def test_seminorm_index_validation():
 def test_matrix_csv_dump(tmp_path, basis16):
     d = derivative_op(basis16)
     target = tmp_path / "derivative.csv"
-    write_matrix_csv(d, target)
+    write_array_csv(d, target, ("i", "j"))
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "i,j,value"
     data = np.loadtxt(target, delimiter=",", skiprows=1)

@@ -556,23 +556,40 @@ def test_clt_report_thread_invariance(basis, h0):
     assert a == b
 
 
+# each report's own fields on the shared multi-block shape below
+BLOCK_CONFIGS = {
+    "clt": {"phi_list": [[1.0], [0.0, 1.0], [1.0, 0.0, 1.0]], "times": [0.5, 1.0]},
+    "heat": {
+        "phi_list": [[1.0], [0.0, 1.0]],
+        "times": [0.5, 1.0],
+        "eta": {"kind": "gaussian", "r": 1.0, "scale": 0.5},
+        "limit_modes": 4,
+        "calibration": {"reps": 0},
+    },
+    "tightness": {"eta": {"kind": "gaussian", "r": 1.0, "scale": 0.5}, "quantile": 0.9},
+}
+
+
 @pytest.mark.parametrize("deltas", [[0.05], [0.02, 0.1]], ids=["dense-modulus", "pruned-modulus"])
-def test_clt_report_bytes_invariant_to_blocks_and_threads(monkeypatch, deltas):
+@pytest.mark.parametrize("command", sorted(BLOCK_CONFIGS))
+def test_report_bytes_invariant_to_blocks_and_threads(monkeypatch, command, deltas):
     from nucleartight import cli
 
-    # n = 5 on J = 200 runs blocks of 65 repetitions: 150 = 65 + 65 + 20
-    assert max(1, martingales._DRIVER_VALUES // (5 * 200)) == 65
+    # n = 5 on J = 200 and N = 16 runs blocks of 20 repetitions: 150 = 7 x 20 + 10
+    assert max(1, martingales._DRIVER_VALUES // (200 * max(5, 16))) == 20
     cfg = {
         "basis": {"N": 16, "Q": 32},
         "grid": {"T": 1.0, "J": 200},
         "n_list": [5],
         "reps": 150,
-        "phi_list": [[1.0], [0.0, 1.0], [1.0, 0.0, 1.0]],
-        "times": [0.5, 1.0],
         "tightness": {"r": 1.0, "c_levels": [0.5, 1.0], "deltas": deltas},
         "seed": 31,
+        **BLOCK_CONFIGS[command],
     }
-    texts = {t: cli.run_command("clt", cfg, threads=t)[0].to_json() for t in (1, 2, 4)}
+    texts = {t: cli.run_command(command, cfg, threads=t)[0].to_json() for t in (1, 2, 4)}
     assert texts[1] == texts[2] == texts[4]
-    oracles.per_rep_clt(monkeypatch)
-    assert cli.run_command("clt", cfg, threads=1)[0].to_json() == texts[1]
+    # the per-repetition pipeline: one repetition per block, through the
+    # per-repetition driver and modulus
+    monkeypatch.setattr(martingales, "_DRIVER_VALUES", 200 * 16)
+    oracles.per_rep_drivers(monkeypatch)
+    assert cli.run_command(command, cfg, threads=1)[0].to_json() == texts[1]

@@ -11,7 +11,7 @@ from nucleartight.paths import (
     dual_path_stats,
     modulus_dual,
     sup_dual_norm,
-    write_dual_paths_csv,
+    write_array_csv,
 )
 
 import oracles
@@ -315,7 +315,7 @@ def test_dual_csv_roundtrip(tmp_path, basis16):
     rng = np.random.default_rng(37)
     states = rng.standard_normal((3, 7, basis16.size))
     target = tmp_path / "dual.csv"
-    write_dual_paths_csv(states, target)
+    write_array_csv(states, target, ("path", "step", "k"))
     assert target.read_text().splitlines()[0] == "path,step,k,value"
     rows = np.loadtxt(target, delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, :3], list(np.ndindex(states.shape)))
