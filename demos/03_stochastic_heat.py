@@ -37,19 +37,20 @@ for steps in (250, 500, 1000, 2000):
     print(f"J={steps:5d}  dt={grid.dt:<7.4g} residual={residual:.3e}  residual/dt={residual/grid.dt:.4f}")
 
 print("\n== weak-convergence experiment (small) ==")
-grid = TimeGrid(1.0, 500)
+# the scenario config of the `heat` command; omitted fields take its defaults
 cells, extras = heat_convergence_report(
-    [10, 40, 160],
-    {"kind": "gaussian", "r": 1.0, "scale": 1.0},
-    [h0],
-    [0.5, 1.0],
-    400,
-    SEED,
-    grid,
-    limit_modes=8,
-    calibration_reps=5,
-    calibration_size=200,
-    calibration_steps=125,
+    {
+        "basis": {"N": 32, "Q": 64},
+        "grid": {"T": 1.0, "J": 500},
+        "n_list": [10, 40, 160],
+        "eta": {"kind": "gaussian", "r": 1.0, "scale": 1.0},
+        "phi_list": [[1.0]],
+        "times": [0.5, 1.0],
+        "reps": 400,
+        "seed": SEED,
+        "limit_modes": 8,
+        "calibration": {"reps": 5, "size": 200, "steps": 125},
+    }
 )
 for cell in cells:
     marker = "ok " if cell["ks"] < cell["ks_critical"] else "BAD"

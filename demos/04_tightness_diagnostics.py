@@ -7,23 +7,23 @@ level, and the modulus quantiles should fall as the time gap shrinks.
 Run:  python demos/04_tightness_diagnostics.py
 """
 
-from nucleartight import BasisSpec, TimeGrid, tightness_report
+from nucleartight import tightness_report
 
 SEED = 13
-basis = BasisSpec(32, 64)
-grid = TimeGrid(1.0, 500)
-deltas = (0.02, 0.05, 0.1, 0.2)
+deltas = [0.02, 0.05, 0.1, 0.2]
 
+# the scenario config of the `tightness` command; omitted fields take its defaults
 cells, extras = tightness_report(
-    [10, 40, 160],
-    {"kind": "zero"},
-    300,
-    SEED,
-    grid,
-    basis,
-    quantile=0.99,
-    tightness_levels=(0.5, 1.0, 2.0, 4.0),
-    tightness_deltas=deltas,
+    {
+        "basis": {"N": 32, "Q": 64},
+        "grid": {"T": 1.0, "J": 500},
+        "n_list": [10, 40, 160],
+        "eta": {"kind": "zero"},
+        "reps": 300,
+        "seed": SEED,
+        "quantile": 0.99,
+        "tightness": {"c_levels": [0.5, 1.0, 2.0, 4.0], "deltas": deltas},
+    }
 )
 
 for cell in cells:

@@ -7,6 +7,7 @@ the statistical diagnostics (KS, energy distance, modulus-of-continuity and
 sup-norm tables) that certify their convergence and tightness empirically.
 """
 
+from .config import ConfigError
 from .hermite import (
     BasisSpec,
     DualElement,

@@ -45,10 +45,6 @@ class KsResult:
     critical_5: float
     critical_1: float
 
-    @property
-    def reject_1(self) -> bool:
-        return self.statistic > self.critical_1
-
 
 def ks_two_sample(a, b) -> KsResult:
     """Kolmogorov-Smirnov statistic ``sup_x |F_a(x) - F_b(x)|``.
@@ -124,17 +120,18 @@ def energy_distance(x, y) -> float:
     return float(2.0 * cross - within_x - within_y)
 
 
-def energy_distance_with_se(x, y, blocks: int = 10) -> tuple[float, float]:
+def energy_distance_with_se(x, y) -> tuple[float, float]:
     """Energy distance plus a block-resampling standard error.
 
-    Splits both samples into ``blocks`` contiguous chunks, recomputes the
+    Splits both samples into ten contiguous chunks (fewer when a sample has
+    under twenty points), recomputes the
     statistic per chunk pair, and reports the standard error of the chunk
     mean.  Deterministic (no resampling randomness).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     value = energy_distance(x, y)
-    nb = min(blocks, x.shape[0] // 2, y.shape[0] // 2)
+    nb = min(10, x.shape[0] // 2, y.shape[0] // 2)
     if nb < 2:
         return value, float("inf")
     vals = [
@@ -194,15 +191,6 @@ class ConvergenceReport:
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConvergenceReport":
-        validate_report(data)
-        return cls(data["scenario"], data["metadata"], data["cells"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConvergenceReport":
-        return cls.from_dict(json.loads(text))
 
 
 def validate_report(data: dict) -> None:

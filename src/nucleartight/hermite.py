@@ -327,22 +327,24 @@ def laplacian_op(basis: BasisSpec) -> np.ndarray:
     return _as_readonly(d @ d)
 
 
+@lru_cache(maxsize=32)
 def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
-    """Heat semigroup ``E(t) = exp(t L)`` on coefficients.
+    """Heat semigroup ``E(t) = exp(t L)`` on coefficients (read-only).
 
     Computed by scaling-and-squaring matrix exponential of the banded
     truncated Laplacian, so the semigroup law holds to rounding error.  At
     huge times (``1e50`` at ``N = 8``) the squaring overflows, and a
-    non-finite result raises ``ValueError``.
+    non-finite result raises ``ValueError``.  Cached: a config check and the
+    solver it admits ask for the same step.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     if t == 0.0:
-        return np.eye(basis.size)
+        return _as_readonly(np.eye(basis.size))
     e = expm(t * laplacian_op(basis))
     if not np.all(np.isfinite(e)):
         raise ValueError(f"heat semigroup at time {t!r} is not finite")
-    return e
+    return _as_readonly(e)
 
 
 def heat_flow_ground_state(t: float, x) -> np.ndarray:

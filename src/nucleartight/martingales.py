@@ -36,6 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import diagnostics
+from .config import _basis_from, _grid_from, _phis_from, _tightness_from, materialize
 from .hermite import (
     BasisSpec,
     TestFunction,
@@ -148,20 +149,16 @@ def _mn_qv_steps(dcoef: np.ndarray, particles: ParticleEnsemble, modes=None):
     phi' along each particle, paired with the particle's forward increment
     (martingale) or squared and scaled by dt (quadratic variation), summed
     over the particle axis.  ``modes`` kept by :func:`_mn_dual_states` spare
-    a recurrence.  phi' is contracted one repetition at a time: OpenBLAS's
-    gemv rounds the last ``size % 4`` entries of a product its own way, so
-    one product over a stacked block would change the bits of a repetition
-    whose ``count * steps`` is not a multiple of 4.
+    a recurrence.  One ``matmul`` contracts phi' for a block of repetitions:
+    it forms each repetition's product on its own, with the bits the
+    repetition gets alone.
     """
     top = _span(dcoef)
     inc = particles.increments
     if modes is None:
         modes = _hermite_modes_first(particles.positions()[..., :-1], top)
-    vals = np.empty(inc.shape)
-    rows = vals.reshape(-1, inc.shape[-2] * inc.shape[-1])  # one per repetition
-    stacked = modes[:top].reshape((top,) + rows.shape)
-    for r, out in enumerate(rows):
-        np.dot(dcoef[:top], stacked[:, r], out=out)
+    stacked = modes[:top].reshape(top, math.prod(inc.shape[:-2]), inc.shape[-2] * inc.shape[-1])
+    vals = np.matmul(dcoef[:top], stacked.swapaxes(0, 1)).reshape(inc.shape)
     root_n = np.sqrt(particles.count)
     mn_steps = (vals * inc).sum(axis=-2) / root_n
     qv_steps = (vals * vals).sum(axis=-2) * (particles.grid.dt / particles.count)
@@ -191,15 +188,17 @@ def quadratic_variation_path(
 
 
 # values per (particles, block) mode buffer of _mn_dual_states (512 kB); smaller
-# blocks run faster on one thread but stall two pool threads on the GIL.  It
-# sizes the blocks of repetitions of run_blocks too.
+# blocks run faster on one thread but stall two pool threads on the GIL
 _DRIVER_VALUES = 65_536
 
 
 def run_blocks(n: int, reps: int, grid: TimeGrid, basis: BasisSpec, seed: int, threads: int, reduce):
     """Map ``reduce`` over repetitions ``0..reps-1`` of ``n`` particles, in blocks
     of ``max(1, _DRIVER_VALUES // (J max(n, N)))`` repetitions: the bound holds
-    both a block's ``(n, J)`` mode buffer and its ``(J+1, N)`` states.
+    both a block's ``(n, J)`` mode buffer and its ``(J+1, N)`` states.  That
+    is 20 repetitions for ``n = 5`` and 16 for ``n = 20`` at ``J = 200``,
+    ``N = 16``, and one at ``J = 1000``, ``N = 64``.  The block size depends
+    on ``n``, ``J`` and ``N`` only, never on ``threads``.
 
     ``reduce`` gets one block's :class:`ParticleEnsemble` and returns a tuple
     of arrays with one leading entry per repetition, or ``None`` for one it
@@ -268,6 +267,9 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0
 
 
 _GRAM_VALUES = 250_000  # Hermite values per chunk of QuadraticForm._gram_sums (2 MB)
+# Gauss-Legendre rules: composite over [0, t] for C(t), one rule per grid step
+# for the increments
+_PANELS_PER_UNIT, _GL_POINTS, _STEP_GL_POINTS = 8, 16, 4
 
 
 @lru_cache(maxsize=256)
@@ -297,10 +299,8 @@ class QuadraticForm:
     composite Gauss-Legendre with cached nodes, all interior (``s > 0``).
     """
 
-    def __init__(self, basis: BasisSpec, panels_per_unit: int = 8, gl_points: int = 16):
+    def __init__(self, basis: BasisSpec):
         self.basis = basis
-        self.panels_per_unit = panels_per_unit
-        self.gl_points = gl_points
 
     def _gram_sums(self, s: np.ndarray, w: np.ndarray, dmat: np.ndarray) -> np.ndarray:
         """Weighted Gram sums ``out[r] = sum_k w[k] G(s[r, k])``, shape ``(R, m, m)``.
@@ -353,34 +353,30 @@ class QuadraticForm:
         if t == 0.0:
             return np.zeros((m, m))
         dmat = self._dmat(phis)
-        panels = max(1, int(np.ceil(t * self.panels_per_unit)))
-        nodes, weights = _gl_composite(float(t), panels, self.gl_points)
+        panels = max(1, int(np.ceil(t * _PANELS_PER_UNIT)))
+        nodes, weights = _gl_composite(float(t), panels, _GL_POINTS)
         return self._gram_sums(nodes[None], weights, dmat)[0]
 
     def variance(self, t: float, phi: TestFunction) -> float:
         """The variance function ``A(t, phi) = C(t; phi, phi)``."""
         return float(self.covariance_matrix(t, [phi])[0, 0])
 
-    def increment_covariances(
-        self, grid: TimeGrid, dmat: np.ndarray, gl_points: int = 4
-    ) -> np.ndarray:
+    def increment_covariances(self, grid: TimeGrid, dmat: np.ndarray) -> np.ndarray:
         """Per-step covariance increments, shape ``(steps, m, m)``.
 
         Each increment is the Gauss-Legendre integral of the positive
         semidefinite Gram over one grid step, so it is positive semidefinite
         by construction.
         """
-        x, w = np.polynomial.legendre.leggauss(gl_points)
+        x, w = np.polynomial.legendre.leggauss(_STEP_GL_POINTS)
         half = grid.dt / 2.0
         mid = (np.arange(grid.steps) + 0.5) * grid.dt
         return self._gram_sums(mid[:, None] + half * x, w, dmat) * half
 
 
-def limit_variance(
-    phi: TestFunction, t: float, panels_per_unit: int = 8, gl_points: int = 16
-) -> float:
+def limit_variance(phi: TestFunction, t: float) -> float:
     """Variance function ``A(t, phi)`` of the Gaussian limit martingale."""
-    return QuadraticForm(phi.basis, panels_per_unit, gl_points).variance(t, phi)
+    return QuadraticForm(phi.basis).variance(t, phi)
 
 
 def _sqrt_factors(increments: np.ndarray) -> np.ndarray:
@@ -419,7 +415,6 @@ def simulate_limit(
     count: int,
     seed: int,
     stream_id: int = 0,
-    form: QuadraticForm | None = None,
 ) -> np.ndarray:
     """Sample the Gaussian limit jointly over ``phis``, shape ``(count, J+1, m)``.
 
@@ -433,8 +428,7 @@ def simulate_limit(
         raise ValueError("need at least one test function")
     if count < 1:
         raise ValueError("need at least one path")
-    if form is None:
-        form = QuadraticForm(phis[0].basis)
+    form = QuadraticForm(phis[0].basis)
     factors = _sqrt_factors(form.increment_covariances(grid, form._dmat(phis)))
     z = stream(seed, "limit", stream_id).standard_normal((count, grid.steps, len(phis)))
     return _limit_states(factors, z, len(phis))
@@ -449,61 +443,41 @@ def _phi_label(phi: TestFunction) -> list:
     return [float(c) for c in phi.coeffs[: max(_span(phi.coeffs), 1)]]
 
 
-def clt_report(
-    n_list,
-    phis,
-    times,
-    reps: int,
-    seed: int,
-    grid: TimeGrid,
-    *,
-    threads: int = 1,
-    tightness_index: float = 1.0,
-    tightness_levels=(0.5, 1.0, 2.0, 4.0),
-    tightness_deltas=(0.01, 0.02, 0.05, 0.1, 0.2),
-    collect_paths: bool = False,
-):
+def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
     """Monte Carlo convergence experiment for the particle martingales.
 
-    For every particle count ``n`` the experiment runs ``reps`` independent
-    repetitions and reports, per ``(n, phi, t)`` cell: the mean and spread of
-    the quadratic variation against its target ``A(t, phi)``, the one-sample
-    KS statistic of the normalized terminal value against the standard
-    normal, and per ``n``: the energy distance between the joint
-    ``(phi, t)`` vector and a sample of the Gaussian limit, plus dual-path
-    tightness summaries.
+    ``cfg`` is a ``clt`` scenario config, materialized and checked by
+    :func:`~nucleartight.config.materialize` (a ``ConfigError`` names a
+    field that breaks a rule).  For every particle count ``n`` the
+    experiment runs ``reps`` independent repetitions and reports, per
+    ``(n, phi, t)`` cell: the mean and spread of the quadratic variation
+    against its target ``A(t, phi)``, the one-sample KS statistic of the
+    normalized terminal value against the standard normal, and per ``n``:
+    the energy distance between the joint ``(phi, t)`` vector and a sample
+    of the Gaussian limit, plus dual-path tightness summaries.
 
-    The repetitions of one ``n`` run in the blocks of :func:`run_blocks`,
-    ``max(1, _DRIVER_VALUES // (J max(n, N)))`` of them (20 for ``n = 5`` and
-    16 for ``n = 20`` at ``J = 200``, ``N = 16``): one driver,
-    quadratic-variation and modulus pass per block.  Repetition ``rep`` still
-    draws from its own stream and gets the bits it gets alone, so the report
-    depends on neither the blocks nor ``threads``.
+    The repetitions of one ``n`` run in the blocks of :func:`run_blocks`:
+    one driver, quadratic-variation and modulus pass per block.
 
     Returns ``(cells, extras)`` where ``extras`` carries per-n summaries and
     optional raw paths, ``(reps, J+1, N)`` per ``n`` (``collect_paths=True``).
     """
-    phis = list(phis)
-    times = [float(t) for t in times]
-    n_list = [int(n) for n in n_list]
-    if not phis or not times or not n_list:
-        raise ValueError("n_list, phis and times must be nonempty")
-    if reps < 2:
-        raise ValueError("need at least two repetitions")
-    basis = phis[0].basis
-    form = QuadraticForm(basis)
+    cfg = materialize("clt", cfg)
+    basis, grid = _basis_from(cfg), _grid_from(cfg)
+    phis = _phis_from(cfg, basis)
+    times = [float(t) for t in cfg["times"]]
+    reps, seed = cfg["reps"], cfg["seed"]
+    tightness_index, levels, deltas = _tightness_from(cfg)
 
     t_idx = [grid.index_of(t) for t in times]
-    targets = np.array([[form.variance(t, phi) for t in times] for phi in phis])
+    targets = np.array([[limit_variance(phi, t) for t in times] for phi in phis])
 
-    limit = simulate_limit(phis, grid, reps, seed, stream_id=0, form=form)
+    limit = simulate_limit(phis, grid, reps, seed)
     # columns phi outer, t inner, as the particle sample ``mn_vals`` below
     limit_joint = limit[:, t_idx].swapaxes(1, 2).reshape(reps, -1)
 
     dcoefs = [_derivative_coeffs(phi) for phi in phis]
     keep = max(_span(dcoef) for dcoef in dcoefs)  # modes every phi' needs
-    deltas = [float(d) for d in tightness_deltas]
-    levels = [float(c) for c in tightness_levels]
 
     def one_block(particles):
         states, modes = _mn_dual_states(particles, basis, keep)
@@ -518,7 +492,7 @@ def clt_report(
 
     cells = []
     extras = {"per_n": {}, "paths": {}}
-    for n in n_list:
+    for n in cfg["n_list"]:
         # (reps, phi, t), (reps, phi, t), (reps,), (reps, deltas) and the paths
         mn_vals, qv_vals, sups, mod_table, states = run_blocks(n, reps, grid, basis, seed, threads, one_block)
 

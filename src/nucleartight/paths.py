@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hermite import BasisSpec, DualElement, SeminormIndex
+from .hermite import BasisSpec, SeminormIndex
 
 __all__ = [
     "TimeGrid",
@@ -105,9 +105,6 @@ class DualPath:
         if not np.all(np.isfinite(s)):
             raise ValueError("path states must be finite")
         object.__setattr__(self, "states", s)
-
-    def at(self, t: float) -> DualElement:
-        return DualElement(self.basis, self.states[self.grid.index_of(t)])
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +293,14 @@ def containment_summary(
     modulus_table: np.ndarray,
     c_levels,
     delta_grid,
-    quantiles=(0.5, 0.9, 0.99),
 ) -> dict:
     """Assemble exceedance frequencies and modulus quantiles from reductions.
 
     ``sup_norms`` has one entry per path; ``modulus_table`` has shape
     ``(paths, len(delta_grid))``, as :func:`dual_path_stats` returns them
-    for a batch of paths.
+    for a batch of paths.  Quantiles are taken at 0.5, 0.9 and 0.99.
     """
+    quantiles = (0.5, 0.9, 0.99)
     sup_norms = np.asarray(sup_norms, dtype=float)
     modulus_table = np.asarray(modulus_table, dtype=float)
     if sup_norms.size == 0:

@@ -27,6 +27,7 @@ from itertools import product
 import numpy as np
 
 from . import diagnostics
+from .config import _basis_from, _grid_from, _phis_from, _tightness_from, materialize
 from .hermite import (
     BasisSpec,
     DualElement,
@@ -196,14 +197,10 @@ def weak_form_residual(
 # ---------------------------------------------------------------------------
 
 
-def _limit_factors(
-    form: QuadraticForm, grid: TimeGrid, basis: BasisSpec, modes: int
-) -> np.ndarray:
+def _limit_factors(grid: TimeGrid, basis: BasisSpec, modes: int) -> np.ndarray:
     """Increment-covariance square roots for the first ``modes`` coordinates."""
-    if modes < 1 or modes > basis.size:
-        raise ValueError("limit modes must satisfy 1 <= modes <= basis.size")
     dmat = derivative_op(basis)[:, :modes]
-    return _sqrt_factors(form.increment_covariances(grid, dmat))
+    return _sqrt_factors(QuadraticForm(basis).increment_covariances(grid, dmat))
 
 
 def _limit_driver_chunk(
@@ -265,19 +262,17 @@ class _HeatSolver:
     or limit driver, mild solution.
 
     Every draw comes from a stream keyed by its path.  Particle repetitions
-    come in the blocks of :func:`run_blocks`, ``max(1, 65,536 // (J max(n,
-    N)))`` each (one at ``J = 1000``, ``N = 64``; 20 for ``n = 5`` at ``J =
-    200``, ``N = 16``), and get one mild solve each; the limit chunk size
-    depends only on the grid and the basis, so results depend on neither the
-    blocks nor threading.  A limit path's bits do depend on its chunk: the
-    mild solve of a single path runs matrix-vector products, which round
-    differently (about 1e-14 relative) from the matrix products of a larger
-    chunk.
+    come in the blocks of :func:`run_blocks` and get one mild solve each; the
+    limit chunk size depends only on the grid and the basis, so results
+    depend on neither the blocks nor threading.  A limit path's bits do
+    depend on its chunk: the mild solve of a single path runs matrix-vector
+    products, which round differently (about 1e-14 relative) from the matrix
+    products of a larger chunk.
     """
 
     def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int = 0, eta_spec=None):
         self.basis, self.grid, self.seed = basis, grid, seed
-        self.eta_spec = {"kind": "zero", **(eta_spec or {})}
+        self.eta_spec = eta_spec
         lap = laplacian_op(basis)
         self.main, self.off = np.diagonal(lap).copy(), np.diagonal(lap, offset=2).copy()
         self.e_dt = heat_matrix(grid.dt, basis)
@@ -313,35 +308,18 @@ class _HeatSolver:
 # ---------------------------------------------------------------------------
 
 
-def heat_convergence_report(
-    n_list,
-    eta_spec,
-    phis,
-    times,
-    reps: int,
-    seed: int,
-    grid: TimeGrid,
-    *,
-    limit_modes: int = 16,
-    threads: int = 1,
-    calibration_reps: int = 50,
-    calibration_size: int = 500,
-    calibration_steps: int | None = None,
-    tightness_index: float = 1.0,
-    tightness_levels=(0.5, 1.0, 2.0, 4.0),
-    tightness_deltas=(0.01, 0.02, 0.05, 0.1, 0.2),
-    residual_gate_factor: float = 10.0,
-    collect_paths: bool = False,
-):
+def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
     """Weak-convergence experiment for the stochastic heat equation.
 
-    For each particle count the experiment solves ``reps`` independent
-    realizations and compares the solution values at the requested
-    ``(phi, t)`` cells against an equal-size sample of limit-driven
-    solutions (same solver, same grid).  Reports per-cell two-sample KS
-    statistics, per-n joint energy distances and tightness summaries, the
-    per-repetition weak-form residual gate, and a null calibration of the
-    KS p-value under identical laws.
+    ``cfg`` is a ``heat`` scenario config, materialized and checked by
+    :func:`~nucleartight.config.materialize` (a ``ConfigError`` names a field
+    that breaks a rule).  For each particle count the experiment solves
+    ``reps`` independent realizations and compares the solution values at
+    the requested ``(phi, t)`` cells against an equal-size sample of
+    limit-driven solutions (same solver, same grid).  Reports per-cell
+    two-sample KS statistics, per-n joint energy distances and tightness
+    summaries, the per-repetition weak-form residual gate, and a null
+    calibration of the KS p-value under identical laws.
 
     The calibration compares two samples of ``<Y_T, phi_0>`` from limit-driven
     solutions on the calibration grid.  It solves no path: each value is the
@@ -352,25 +330,17 @@ def heat_convergence_report(
 
     Returns ``(cells, extras)``.
     """
-    phis = list(phis)
-    times = [float(t) for t in times]
-    n_list = [int(n) for n in n_list]
-    if not phis or not times or not n_list:
-        raise ValueError("n_list, phis and times must be nonempty")
-    if reps < 2:
-        raise ValueError("need at least two repetitions")
-    basis = phis[0].basis
-    for phi in phis:
-        if phi.basis != basis:
-            raise ValueError("test functions must share a basis")
+    cfg = materialize("heat", cfg)
+    basis, grid = _basis_from(cfg), _grid_from(cfg)
+    phis = _phis_from(cfg, basis)
+    times = [float(t) for t in cfg["times"]]
+    reps, seed, limit_modes = cfg["reps"], cfg["seed"], cfg["limit_modes"]
+    tightness_index, levels, deltas = _tightness_from(cfg)
 
     cell_vectors = [(phi.coeffs, grid.index_of(t)) for phi, t in product(phis, times)]
-    deltas = [float(d) for d in tightness_deltas]
-    levels = [float(c) for c in tightness_levels]
-    gate = residual_gate_factor * grid.dt
-    form = QuadraticForm(basis)
-    factors = _limit_factors(form, grid, basis, limit_modes)
-    solver = _HeatSolver(basis, grid, seed, eta_spec)
+    gate = float(cfg["residual_gate_factor"]) * grid.dt
+    factors = _limit_factors(grid, basis, limit_modes)
+    solver = _HeatSolver(basis, grid, seed, cfg["eta"])
 
     def reduce(drivers, etas, sols):
         """Per path: cell values, sup, moduli, the largest weak-form residual
@@ -403,7 +373,7 @@ def heat_convergence_report(
         return reduce(*solver.particle_block(particles))
 
     cells = []
-    for n in n_list:
+    for n in cfg["n_list"]:
         n_cells, *stats, n_paths = run_blocks(n, reps, grid, basis, seed, threads, particle_block)
         energy, energy_se = diagnostics.energy_distance_with_se(n_cells, limit_cells)
         extras["per_n"][n] = {"energy": energy, "energy_se": energy_se, **summary(*stats)}
@@ -433,24 +403,25 @@ def heat_convergence_report(
             )
 
     # --- null calibration ---------------------------------------------------
-    if calibration_reps > 0:
-        same = calibration_steps is None or calibration_steps == grid.steps
-        cal_grid = grid if same else TimeGrid(grid.horizon, int(calibration_steps))
-        cal_factors = factors if same else _limit_factors(form, cal_grid, basis, limit_modes)
+    cal = cfg["calibration"]
+    if cal["reps"] > 0:
+        same = cal["steps"] in (None, grid.steps)
+        cal_grid = grid if same else TimeGrid(grid.horizon, cal["steps"])
+        cal_factors = factors if same else _limit_factors(cal_grid, basis, limit_modes)
         # the calibration is a pure null check, so the cell choice is free;
         # the horizon is a node of every grid
         weights, flow = _terminal_weights(cal_factors, basis, cal_grid, phis[0].coeffs)
 
         def one_calibration(rep):
-            a, b = (_calibration_sample(solver, weights, flow, rep, s, calibration_size) for s in (0, 1))
+            a, b = (_calibration_sample(solver, weights, flow, rep, s, cal["size"]) for s in (0, 1))
             ks = diagnostics.ks_two_sample(a, b)
-            return diagnostics.ks_pvalue(ks.statistic, calibration_size, calibration_size)
+            return diagnostics.ks_pvalue(ks.statistic, cal["size"], cal["size"])
 
-        pvalues = parallel_map(one_calibration, calibration_reps, threads)
+        pvalues = parallel_map(one_calibration, cal["reps"], threads)
         frac = float(np.mean(np.asarray(pvalues) < 0.05))
         extras["calibration"] = {
-            "reps": calibration_reps,
-            "size": calibration_size,
+            "reps": cal["reps"],
+            "size": cal["size"],
             "steps": cal_grid.steps,
             "fraction_below_5": frac,
             "pvalues": [float(p) for p in pvalues],
@@ -459,41 +430,27 @@ def heat_convergence_report(
     return cells, extras
 
 
-def tightness_report(
-    n_list,
-    eta_spec,
-    reps: int,
-    seed: int,
-    grid: TimeGrid,
-    basis: BasisSpec,
-    *,
-    threads: int = 1,
-    quantile: float = 0.99,
-    gate_ratio: float = 2.0,
-    tightness_index: float = 1.0,
-    tightness_levels=(0.5, 1.0, 2.0, 4.0),
-    tightness_deltas=(0.01, 0.02, 0.05, 0.1, 0.2),
-):
+def tightness_report(cfg: dict, *, threads: int = 1):
     """Exceedance tables and modulus curves for drivers and solutions.
 
-    For each particle count the report summarizes the dual paths of the
-    martingale drivers and of the heat solutions they drive: sup-norm
-    exceedance frequencies at each level, modulus quantile curves over the
-    delta grid, and the ``quantile`` level of the running sup norm.  The
-    gate requires the driver sup-norm quantile to stay within a factor
-    ``gate_ratio`` across the n-list.
+    ``cfg`` is a ``tightness`` scenario config, materialized and checked by
+    :func:`~nucleartight.config.materialize` (a ``ConfigError`` names a field
+    that breaks a rule).  For each particle count the report summarizes the
+    dual paths of the martingale drivers and of the heat solutions they
+    drive: sup-norm exceedance frequencies at each level, modulus quantile
+    curves over the delta grid, and the ``quantile`` level of the running
+    sup norm.  The gate requires the driver sup-norm quantile to stay within
+    a factor ``gate_ratio`` across the n-list.
 
     Returns ``(cells, extras)`` with ``extras["gate"]`` carrying the verdict.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if reps < 2:
-        raise ValueError("need at least two repetitions")
-    deltas = [float(d) for d in tightness_deltas]
-    levels = [float(c) for c in tightness_levels]
-    solver = _HeatSolver(basis, grid, seed, eta_spec)
-    weights = SeminormIndex(float(tightness_index)).dual_weights(basis.size)
+    cfg = materialize("tightness", cfg)
+    basis, grid = _basis_from(cfg), _grid_from(cfg)
+    n_list, reps, seed = cfg["n_list"], cfg["reps"], cfg["seed"]
+    quantile, gate_ratio = float(cfg["quantile"]), float(cfg["gate_ratio"])
+    tightness_index, levels, deltas = _tightness_from(cfg)
+    solver = _HeatSolver(basis, grid, seed, cfg["eta"])
+    weights = SeminormIndex(tightness_index).dual_weights(basis.size)
 
     def particle_block(particles):
         drivers, _, sols = solver.particle_block(particles)

@@ -35,6 +35,11 @@ def unit_function(basis, k):
     return TestFunction(basis, c)
 
 
+def scenario(basis, grid, **fields):
+    """A scenario config on ``basis`` and ``grid``, with ``fields`` on top."""
+    return {"basis": {"N": basis.size, "Q": basis.quad_order}, "grid": {"T": grid.horizon, "J": grid.steps}, **fields}
+
+
 @pytest.fixture(scope="session")
 def h0_64(basis64):
     return unit_function(basis64, 0)

@@ -134,9 +134,9 @@ def gram_at(basis, s, dmat):
     return g / np.sqrt(np.pi * (2.0 * s + 1.0))
 
 
-def increment_covariances_per_node(basis, grid, dmat, gl_points=4):
+def increment_covariances_per_node(basis, grid, dmat):
     """Per-step covariance increments with one ``gram_at`` call per node."""
-    x, w = np.polynomial.legendre.leggauss(gl_points)
+    x, w = np.polynomial.legendre.leggauss(4)
     m = dmat.shape[1]
     out = np.empty((grid.steps, m, m))
     half = grid.dt / 2.0

@@ -44,7 +44,7 @@ from nucleartight.spde import (
     weak_form_residual,
 )
 
-from conftest import unit_function
+from conftest import scenario, unit_function
 
 SEED = 20260810  # fixed acceptance seed
 
@@ -270,20 +270,20 @@ def test_criterion_09_spde_solver_integrity():
 
 def test_criterion_10_spde_weak_convergence(basis, grid):
     start = time.time()
-    h0 = unit_function(basis, 0)
     cells, extras = heat_convergence_report(
-        [200],
-        {"kind": "zero"},
-        [h0],
-        [1.0],
-        2000,
-        SEED,
-        grid,
-        limit_modes=16,
-        calibration_reps=50,
-        calibration_size=500,
-        calibration_steps=250,
-        tightness_deltas=(0.05, 0.1),
+        scenario(
+            basis,
+            grid,
+            n_list=[200],
+            eta={"kind": "zero"},
+            phi_list=[[1.0]],
+            times=[1.0],
+            reps=2000,
+            seed=SEED,
+            limit_modes=16,
+            calibration={"reps": 50, "size": 500, "steps": 250},
+            tightness={"deltas": [0.05, 0.1]},
+        )
     )
     cell = cells[0]
     frac = extras["calibration"]["fraction_below_5"]

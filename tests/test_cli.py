@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from nucleartight import cli, spde
+from nucleartight import cli, config, spde
 from nucleartight.diagnostics import SCHEMA, ks_pvalue, ks_two_sample, report_hash, validate_report
-from nucleartight.martingales import NumericalIntegrityError, QuadraticForm
+from nucleartight.martingales import NumericalIntegrityError, clt_report
 from nucleartight.paths import TimeGrid
+from nucleartight.spde import heat_convergence_report, tightness_report
 
 # sha256 of each report without ``metadata.versions``, for the bundled smoke
 # scenarios and GOLDEN_CONFIGS: a change to a reducer or report loop must
@@ -268,6 +269,20 @@ def test_rejects_bad_config(tmp_path, capsys, command, override, field):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "report, override, field",
+    [
+        (clt_report, {"reps": 3}, "reps"),
+        (heat_convergence_report, {"calibration": {"size": 1}}, "calibration.size"),
+        (tightness_report, {"quantile": 2}, "quantile"),
+    ],
+    ids=["clt", "heat", "tightness"],
+)
+def test_report_functions_reject_what_the_cli_rejects(report, override, field):
+    with pytest.raises(config.ConfigError, match=f"^field {field}:"):
+        report({**BAD_BASE, **override})
+
+
 HUGE_T = {"basis": {"N": 8, "Q": 16}, "grid": {"T": 1e100, "J": 10}, "n_list": [2], "reps": 2, "eta": {"kind": "zero"}}
 # at N = 8, E(1e36) is finite and E(5e38) overflows
 HUGE_CALIBRATION_STEP = {
@@ -302,6 +317,18 @@ def test_bundled_scenarios_materialize(name):
     full = cli.materialize(command, cli.load_config(name))
     # a materialized config, as a report header records it, materializes to itself
     assert cli.materialize(command, full) == full
+
+
+@pytest.mark.parametrize("command", ["basis-check", "clt", "heat", "tightness"])
+def test_materialized_config_shares_nothing_with_the_defaults(command):
+    fresh = json.loads(json.dumps(config.materialize(command, {})))
+    # a caller may edit the config it got back, as a report header holds it
+    for value in config.materialize(command, {}).values():
+        if isinstance(value, list):
+            value.append(7)
+        elif isinstance(value, dict):
+            value.clear()
+    assert config.materialize(command, {}) == fresh
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS["WORKLOADS"]))
@@ -419,10 +446,10 @@ def test_golden_calibration_ranks_match_path_built_oracle(name):
     cfg = cli.materialize("heat", cli.load_config(name) if name == "heat-smoke" else GOLDEN_CONFIGS[name][1])
     report, _, _ = cli.run_command("heat", cfg)
     cal = report.metadata["extras"]["calibration"]
-    basis, grid = cli._basis_from(cfg), cli._grid_from(cfg)
+    basis, grid = config._basis_from(cfg), config._grid_from(cfg)
     cal_grid = TimeGrid(grid.horizon, cal["steps"])
-    phi = cli._phis_from(cfg, basis)[0].coeffs
-    factors = spde._limit_factors(QuadraticForm(basis), cal_grid, basis, cfg["limit_modes"])
+    phi = config._phis_from(cfg, basis)[0].coeffs
+    factors = spde._limit_factors(cal_grid, basis, cfg["limit_modes"])
     weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
     solver = spde._HeatSolver(basis, grid, cfg["seed"], cfg["eta"])
     size, pvalues = cal["size"], []

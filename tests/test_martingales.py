@@ -18,7 +18,7 @@ from nucleartight.martingales import (
 )
 from nucleartight.paths import TimeGrid
 
-from conftest import unit_function
+from conftest import scenario, unit_function
 
 
 @pytest.fixture(scope="module")
@@ -173,27 +173,28 @@ def _chunk_nodes(monkeypatch, basis, nodes):
         monkeypatch.setattr(martingales, "_GRAM_VALUES", nodes * basis.quad_order * basis.size)
 
 
-# with BasisSpec(16, 32) the kernel's own chunk is 250_000 // 512 = 488 nodes
+# with BasisSpec(16, 32) the kernel's own chunk is 250_000 // 512 = 488 nodes,
+# 122 steps of 4 Gauss-Legendre nodes each
 @pytest.mark.parametrize("modes", [1, 3, 16, *SHORT_SPANS])
 @pytest.mark.parametrize(
-    "steps, gl_points, nodes",
-    [(1, 4, None), (1, 2, 5), (300, 4, None), (300, 2, None), (7, 2, 5), (6, 4, 3)],
+    "steps, nodes",
+    [(1, None), (1, 9), (300, None), (300, 976), (7, 9), (6, 3)],
     ids=[
         "J1",
-        "J1-gl2",
+        "J1-gl2",  # one step in a chunk of two steps' Gauss-Legendre nodes
         "122-step-chunks",  # 300 = 122 + 122 + 56 steps
         "244-step-chunks",  # 300 = 244 + 56 steps
         "last-chunk-one-step",  # 7 = 2 + 2 + 2 + 1 steps
         "last-chunk-one-node",  # each step's 4 nodes go as 3 + 1
     ],
 )
-def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, steps, gl_points, nodes):
+def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, steps, nodes):
     _chunk_nodes(monkeypatch, basis, nodes)
     form = QuadraticForm(basis)
     dmat = _case_dmat(form, modes)
     grid = TimeGrid(1.0, steps)
-    got = form.increment_covariances(grid, dmat, gl_points)
-    want = oracles.increment_covariances_per_node(basis, grid, dmat, gl_points)
+    got = form.increment_covariances(grid, dmat)
+    want = oracles.increment_covariances_per_node(basis, grid, dmat)
     assert got.shape == (steps, dmat.shape[1], dmat.shape[1])
     assert np.array_equal(got, want)
 
@@ -459,12 +460,12 @@ def test_limit_samplers_match_parent(basis, count, coeffs, steps):
     form = QuadraticForm(basis)
     factors = _sqrt_factors(form.increment_covariances(grid, form._dmat(phis)))
     assert np.array_equal(
-        simulate_limit(phis, grid, count, 21, stream_id=3, form=form),
+        simulate_limit(phis, grid, count, 21, stream_id=3),
         oracles.sample_limit_states(factors, count, 21, 3),
     )
     # the heat driver: one stream per path, zero-padded to basis.size columns
     for modes, indices in [(1, range(4)), (5, range(2, 7)), (basis.size, range(3)), (5, [6])]:
-        factors = spde._limit_factors(form, grid, basis, modes)
+        factors = spde._limit_factors(grid, basis, modes)
         args = (factors, basis, grid, 21, "limit", indices)
         assert np.array_equal(spde._limit_driver_chunk(*args), oracles.limit_driver_chunk(*args))
 
@@ -504,13 +505,19 @@ def test_sqrt_factors_clips_round_off_of_large_matrices(negative):
 
 
 @pytest.fixture(scope="module")
-def small_report(basis, h0):
-    grid = TimeGrid(1.0, 100)
-    zero = TestFunction(basis, np.zeros(basis.size))
-    cells, extras = clt_report(
-        [5, 20], [h0, zero], [0.5, 1.0], 80, 17, grid, tightness_deltas=(0.1, 0.2)
+def small_report(basis):
+    return clt_report(
+        scenario(
+            basis,
+            TimeGrid(1.0, 100),
+            n_list=[5, 20],
+            phi_list=[[1.0], [0.0]],
+            times=[0.5, 1.0],
+            reps=80,
+            seed=17,
+            tightness={"deltas": [0.1, 0.2]},
+        )
     )
-    return cells, extras
 
 
 def test_clt_report_cells_complete(small_report):
@@ -548,11 +555,18 @@ def test_parallel_map_thread_invariance():
     assert one == four
 
 
-def test_clt_report_thread_invariance(basis, h0):
-    grid = TimeGrid(1.0, 50)
-    kwargs = dict(tightness_deltas=(0.1,), tightness_levels=(1.0,))
-    a, _ = clt_report([5], [h0], [1.0], 20, 18, grid, threads=1, **kwargs)
-    b, _ = clt_report([5], [h0], [1.0], 20, 18, grid, threads=4, **kwargs)
+def test_clt_report_thread_invariance(basis):
+    cfg = scenario(
+        basis,
+        TimeGrid(1.0, 50),
+        n_list=[5],
+        times=[1.0],
+        reps=20,
+        seed=18,
+        tightness={"deltas": [0.1], "c_levels": [1.0]},
+    )
+    a, _ = clt_report(cfg, threads=1)
+    b, _ = clt_report(cfg, threads=4)
     assert a == b
 
 

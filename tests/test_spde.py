@@ -3,14 +3,8 @@ import pytest
 
 import oracles
 from nucleartight import spde
-from nucleartight.hermite import (
-    BasisSpec,
-    DualElement,
-    TestFunction,
-    heat_matrix,
-    pairing,
-)
-from nucleartight.martingales import QuadraticForm, simulate_particles
+from nucleartight.hermite import BasisSpec, DualElement, TestFunction, heat_matrix
+from nucleartight.martingales import simulate_particles
 from nucleartight.paths import DualPath, TimeGrid, containment_summary, dual_path_stats
 from nucleartight.spde import (
     heat_convergence_report,
@@ -22,7 +16,7 @@ from nucleartight.spde import (
 )
 from nucleartight.martingales import mn_scalar_path
 
-from conftest import unit_function
+from conftest import scenario, unit_function
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +120,10 @@ def test_pure_heat_flow(basis, grid):
     h0 = unit_function(basis, 0)
     # <Y_t, h_0> = <eta, E(t) h_0> has closed form (1+t)^(-1/2) for this eta
     for t in (0.25, 0.5, 1.0):
-        value = pairing(sol.at(t), h0)
+        value = sol.states[grid.index_of(t)] @ h0.coeffs
         assert abs(value - (1.0 + t) ** -0.5) < 1e-4
     expected = heat_matrix(0.5, basis) @ eta.coeffs
-    assert np.abs(sol.at(0.5).coeffs - expected).max() < 1e-12
+    assert np.abs(sol.states[grid.index_of(0.5)] - expected).max() < 1e-12
 
 
 def test_zero_data_zero_solution(basis, grid):
@@ -156,8 +150,8 @@ def test_semigroup_consistency_without_driver(basis, grid):
     eta = DualElement(basis, rng.standard_normal(basis.size))
     sol = mild_solution(zero_driver(grid, basis), eta)
     e_half = heat_matrix(0.5, basis)
-    lhs = sol.at(0.75).coeffs
-    rhs = e_half @ sol.at(0.25).coeffs
+    lhs = sol.states[grid.index_of(0.75)]
+    rhs = e_half @ sol.states[grid.index_of(0.25)]
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -194,19 +188,20 @@ def test_residual_small_and_first_order(basis):
 
 @pytest.fixture(scope="module")
 def heat_smoke(basis, grid):
-    h0 = unit_function(basis, 0)
     return heat_convergence_report(
-        [5, 20],
-        {"kind": "zero"},
-        [h0],
-        [0.5, 1.0],
-        60,
-        12,
-        grid,
-        limit_modes=6,
-        calibration_reps=4,
-        calibration_size=80,
-        tightness_deltas=(0.1, 0.2),
+        scenario(
+            basis,
+            grid,
+            n_list=[5, 20],
+            eta={"kind": "zero"},
+            phi_list=[[1.0]],
+            times=[0.5, 1.0],
+            reps=60,
+            seed=12,
+            limit_modes=6,
+            calibration={"reps": 4, "size": 80},
+            tightness={"deltas": [0.1, 0.2]},
+        )
     )
 
 
@@ -250,7 +245,7 @@ def test_calibration_functional_matches_mild_solves(basis, eta_spec, cal_steps, 
     solve it replaced, from the same normals and initial state."""
     cal_grid = TimeGrid(1.0, cal_steps)
     phi = np.r_[0.5, 1.0, np.zeros(basis.size - 2)]
-    factors = spde._limit_factors(QuadraticForm(basis), cal_grid, basis, modes)
+    factors = spde._limit_factors(cal_grid, basis, modes)
     # the report samples initial states through its main-grid solver
     solver = spde._HeatSolver(basis, TimeGrid(1.0, 40), 7, eta_spec)
     weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
@@ -276,14 +271,16 @@ def test_brownian_ensemble_modulus_median_monotone(basis, grid):
 
 def test_tightness_report_gate(basis, grid):
     cells, extras = tightness_report(
-        [5, 20],
-        {"kind": "zero"},
-        40,
-        13,
-        grid,
-        basis,
-        quantile=0.9,
-        tightness_deltas=(0.1, 0.2),
+        scenario(
+            basis,
+            grid,
+            n_list=[5, 20],
+            eta={"kind": "zero"},
+            reps=40,
+            seed=13,
+            quantile=0.9,
+            tightness={"deltas": [0.1, 0.2]},
+        )
     )
     assert len(cells) == 2
     for cell in cells:
@@ -295,15 +292,19 @@ def test_tightness_report_gate(basis, grid):
 
 
 def test_heat_report_thread_invariance(basis):
-    h0 = unit_function(basis, 0)
-    small = TimeGrid(1.0, 50)
-    kwargs = dict(limit_modes=4, calibration_reps=2, calibration_size=40,
-                  tightness_deltas=(0.2,))
-    a_cells, a_extras = heat_convergence_report(
-        [5], {"kind": "zero"}, [h0], [1.0], 16, 14, small, threads=1, **kwargs
+    cfg = scenario(
+        basis,
+        TimeGrid(1.0, 50),
+        n_list=[5],
+        phi_list=[[1.0]],
+        times=[1.0],
+        reps=16,
+        seed=14,
+        limit_modes=4,
+        calibration={"reps": 2, "size": 40},
+        tightness={"deltas": [0.2]},
     )
-    b_cells, b_extras = heat_convergence_report(
-        [5], {"kind": "zero"}, [h0], [1.0], 16, 14, small, threads=4, **kwargs
-    )
+    a_cells, a_extras = heat_convergence_report(cfg, threads=1)
+    b_cells, b_extras = heat_convergence_report(cfg, threads=4)
     assert a_cells == b_cells
     assert a_extras["calibration"]["pvalues"] == b_extras["calibration"]["pvalues"]
