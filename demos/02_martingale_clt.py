@@ -36,7 +36,7 @@ print(f"\n== quadratic variation across ensembles ({reps} repetitions) ==")
 for n in (10, 40, 160):
     qv = np.array(
         [
-            quadratic_variation_path(h0, simulate_particles(n, grid, SEED, r)).values[-1]
+            quadratic_variation_path(h0, simulate_particles(n, grid, SEED, r))[-1]
             for r in range(reps)
         ]
     )
@@ -47,7 +47,7 @@ for n in (10, 40, 160):
 
 print("\n== Ito isometry and normality at n=200 ==")
 terminal = np.array(
-    [mn_scalar_path(h0, simulate_particles(200, grid, SEED, r)).values[-1] for r in range(reps)]
+    [mn_scalar_path(h0, simulate_particles(200, grid, SEED, r))[-1] for r in range(reps)]
 )
 print(f"Var(M_1(h0)) = {terminal.var(ddof=1):.5f} vs A(1,h0) = {target:.5f}")
 ks = ks_one_sample(terminal / np.sqrt(target), ndtr)

@@ -32,8 +32,8 @@ for steps in (250, 500, 1000, 2000):
     particles = simulate_particles(50, grid, SEED)
     driver = mn_dual_path(particles, basis)
     eta = sample_initial("gaussian", basis, SEED, r=1.0)
-    solution = mild_solution(driver, eta)
-    residual = weak_form_residual(solution, driver, eta, h0)
+    solution = mild_solution(driver, eta.coeffs, grid)
+    residual = weak_form_residual(solution, driver, eta.coeffs, h0, grid)
     print(f"J={steps:5d}  dt={grid.dt:<7.4g} residual={residual:.3e}  residual/dt={residual/grid.dt:.4f}")
 
 print("\n== weak-convergence experiment (small) ==")

@@ -29,14 +29,7 @@ from .hermite import (
     quadrature_weights,
     seminorm,
 )
-from .paths import (
-    DualPath,
-    ScalarPath,
-    TimeGrid,
-    dual_path_stats,
-    modulus_dual,
-    sup_dual_norm,
-)
+from .paths import TimeGrid, dual_path_stats, modulus_dual, sup_dual_norm
 from .martingales import (
     NumericalIntegrityError,
     ParticleEnsemble,

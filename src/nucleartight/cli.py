@@ -69,8 +69,11 @@ def load_config(path_or_name: str) -> dict:
     """Load a config from a file path or a bundled scenario name."""
     p = Path(path_or_name)
     if p.exists():
-        text = p.read_text(encoding="utf-8")
         source = str(p)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{source}: cannot read the config: {exc}") from exc
     else:
         bundled = _bundled_scenarios()
         if path_or_name in bundled:
@@ -219,9 +222,13 @@ _RUNNERS = {
 
 
 def run_command(command: str, cfg: dict, threads: int = 1, dump: bool = False):
-    """Materialize the config, run a command, return (report, gates_ok)."""
+    """Materialize the config, run a command, return ``(report, gates_ok, extras)``;
+    a non-finite statistic (an input too large for floats) is a numerical-integrity failure."""
     full = materialize(command, cfg)
     cells, extras, ok = _RUNNERS[command](full, threads, dump)
+    where = diagnostics._nonfinite_field(cells)
+    if where is not None:
+        raise NumericalIntegrityError(f"statistic {where} is not finite")
     metadata = _header(full)
     metadata["extras"] = {k: v for k, v in extras.items() if k != "paths"} if extras else {}
     metadata["gates_pass"] = bool(ok)

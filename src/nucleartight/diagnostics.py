@@ -205,17 +205,22 @@ def validate_report(data: dict) -> None:
     if not isinstance(data["cells"], list):
         raise ValueError("report cells must be a list")
 
-    def finite(node):
-        if isinstance(node, dict):
-            for v in node.values():
-                finite(v)
-        elif isinstance(node, list):
-            for v in node:
-                finite(v)
-        elif isinstance(node, float) and not np.isfinite(node):
-            raise ValueError("report contains a non-finite statistic")
+    where = _nonfinite_field(data["cells"])
+    if where is not None:
+        raise ValueError(f"report contains a non-finite statistic at {where}")
 
-    finite(data["cells"])
+
+def _nonfinite_field(node, crumb: str = "cells") -> str | None:
+    """The path (``cells[0]['ks']``) of the first non-finite float in nested
+    dicts and lists, or ``None``."""
+    if isinstance(node, float):
+        return None if np.isfinite(node) else crumb
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        where = _nonfinite_field(value, f"{crumb}[{key!r}]")
+        if where is not None:
+            return where
+    return None
 
 
 def assemble_report(cells: list, metadata: dict, scenario: str = "") -> ConvergenceReport:

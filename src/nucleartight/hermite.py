@@ -83,10 +83,8 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class TestFunction:
-    """A function ``phi = sum_k coeffs[k] h_k`` in the truncated span."""
-
-    __test__ = False  # not a pytest class, despite the name
+class _Coefficients:
+    """``basis.size`` finite coefficients on ``basis``, kept read-only."""
 
     basis: BasisSpec
     coeffs: np.ndarray
@@ -100,27 +98,19 @@ class TestFunction:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", _as_readonly(c))
+
+
+class TestFunction(_Coefficients):
+    """A function ``phi = sum_k coeffs[k] h_k`` in the truncated span."""
+
+    __test__ = False  # not a pytest class, despite the name
 
     def __call__(self, x) -> np.ndarray:
         return eval_series(self.coeffs, x)
 
 
-@dataclass(frozen=True, eq=False)
-class DualElement:
+class DualElement(_Coefficients):
     """A distribution acting on the truncated span by coefficient pairing."""
-
-    basis: BasisSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.basis.size,):
-            raise ValueError(
-                f"expected {self.basis.size} coefficients, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", _as_readonly(c))
 
 
 @dataclass(frozen=True)
@@ -153,11 +143,9 @@ class SeminormFamily:
     indices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        rs = tuple(float(r) for r in self.indices)
+        rs = tuple(_index_value(r) for r in self.indices)
         if len(rs) < 2:
             raise ValueError("a seminorm family needs at least two indices")
-        if any(r < 0 for r in rs):
-            raise ValueError("regularity indices must be >= 0")
         gaps = np.diff(rs)
         if np.any(gaps <= 0.5):
             raise ValueError("consecutive index gaps must exceed 1/2")
@@ -172,10 +160,7 @@ class SeminormFamily:
 
 
 def _index_value(r) -> float:
-    r = r.r if isinstance(r, SeminormIndex) else float(r)
-    if not np.isfinite(r) or r < 0:
-        raise ValueError("regularity index must be finite and >= 0")
-    return r
+    return (r if isinstance(r, SeminormIndex) else SeminormIndex(float(r))).r
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +212,10 @@ def hermite_polynomials(x, count: int) -> np.ndarray:
     """Orthonormalized Hermite polynomials ``p_k = h_k exp(x^2/2)``.
 
     Same recurrence as :func:`hermite_functions` but without the Gaussian
-    factor; orthonormal against the weight ``exp(-x^2)``.  Used where the
-    weight is carried by a quadrature rule instead of the integrand.  The
-    result is C-contiguous with shape ``x.shape + (count,)``.
+    factor; orthonormal against the weight ``exp(-x^2)``.  No code in the
+    package calls it (the limit covariance runs :func:`_hermite_modes_first`
+    itself); it serves callers and the test oracles.  The result is
+    C-contiguous with shape ``x.shape + (count,)``.
     """
     x = np.asarray(x, dtype=float)
     if count < 1:

@@ -46,7 +46,7 @@ from .hermite import (
     _hermite_modes_first,
     _span,
 )
-from .paths import ScalarPath, TimeGrid, containment_summary, dual_path_stats
+from .paths import TimeGrid, containment_summary, dual_path_stats
 from .rng import stream
 
 __all__ = [
@@ -173,18 +173,17 @@ def _cumulative(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def mn_scalar_path(phi: TestFunction, particles: ParticleEnsemble) -> ScalarPath:
-    """Euler Ito sum of the rescaled particle martingale against ``phi``."""
-    mn_steps, _ = _mn_qv_steps(_derivative_coeffs(phi), particles)
-    return ScalarPath(particles.grid, _cumulative(mn_steps))
+def mn_scalar_path(phi: TestFunction, particles: ParticleEnsemble) -> np.ndarray:
+    """Euler Ito sum of the rescaled particle martingale against ``phi``,
+    shape ``(..., J+1)``: one path per repetition of a block, each with the
+    bits the repetition gets alone (see :func:`_mn_qv_steps`)."""
+    return _cumulative(_mn_qv_steps(_derivative_coeffs(phi), particles)[0])
 
 
-def quadratic_variation_path(
-    phi: TestFunction, particles: ParticleEnsemble
-) -> ScalarPath:
-    """Quadratic variation path: nondecreasing, zero at the origin."""
-    _, qv_steps = _mn_qv_steps(_derivative_coeffs(phi), particles)
-    return ScalarPath(particles.grid, _cumulative(qv_steps))
+def quadratic_variation_path(phi: TestFunction, particles: ParticleEnsemble) -> np.ndarray:
+    """Quadratic variation path, shape ``(..., J+1)`` as :func:`mn_scalar_path`:
+    nondecreasing, zero at the origin."""
+    return _cumulative(_mn_qv_steps(_derivative_coeffs(phi), particles)[1])
 
 
 # values per (particles, block) mode buffer of _mn_dual_states (512 kB); smaller

@@ -1,8 +1,8 @@
 """Grid paths in the truncated dual, with continuity diagnostics.
 
-Paths are plain grid functions: a scalar path holds ``J+1`` values on a
-uniform grid over ``[0, T]``, a dual path holds one coefficient vector per
-node, and a batch of dual paths is a ``(..., J+1, N)`` array.  No
+Paths are plain arrays on a uniform grid over ``[0, T]``: scalar paths have
+shape ``(..., J+1)`` and dual paths, one coefficient vector per node,
+``(..., J+1, N)``, where leading axes index a batch of paths.  No
 interpolation is performed between nodes; suprema and moduli are taken over
 grid pairs, so refinement studies expose discretization error explicitly.
 
@@ -29,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hermite import BasisSpec, SeminormIndex
+from .hermite import SeminormIndex, _index_value
 
 __all__ = [
     "TimeGrid",
-    "ScalarPath",
-    "DualPath",
     "modulus_dual",
     "sup_dual_norm",
     "dual_path_stats",
@@ -71,40 +69,14 @@ class TimeGrid:
         return j
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarPath:
-    """One real-valued path sampled on a :class:`TimeGrid`."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.steps + 1,):
-            raise ValueError("values must have J+1 entries")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", v)
-
-    def at(self, t: float) -> float:
-        return float(self.values[self.grid.index_of(t)])
-
-
-@dataclass(frozen=True, eq=False)
-class DualPath:
-    """One dual-valued path: coefficient vector per grid node."""
-
-    grid: TimeGrid
-    basis: BasisSpec
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.states, dtype=float)
-        if s.shape != (self.grid.steps + 1, self.basis.size):
-            raise ValueError("states must have shape (J+1, basis.size)")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("path states must be finite")
-        object.__setattr__(self, "states", s)
+def _dual_states(states, grid: TimeGrid, name: str = "states") -> np.ndarray:
+    """Dual paths on ``grid`` as a float array ``(..., J+1, N)``, all finite."""
+    s = np.asarray(states, dtype=float)
+    if s.ndim < 2 or s.shape[-2] != grid.steps + 1:
+        raise ValueError(f"{name} must have shape (..., J+1, N)")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"{name} must be finite")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +108,9 @@ def dual_path_stats(states, grid: TimeGrid, deltas, r):
     largest lag is below ``_PRUNE_MIN_LAG`` that loop runs over the whole
     band; otherwise each path goes through :func:`_pruned_best`.
     """
-    s = np.asarray(states, dtype=float)
-    if s.ndim < 2 or s.shape[-2] != grid.steps + 1:
-        raise ValueError("states must have shape (..., J+1, N)")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("path states must be finite")
+    s = _dual_states(states, grid)
     lags = [_max_lag(grid, float(d)) for d in deltas]
-    rv = r if isinstance(r, SeminormIndex) else SeminormIndex(float(r))
-    s = s * rv.dual_weights(s.shape[-1])
+    s = s * SeminormIndex(_index_value(r)).dual_weights(s.shape[-1])
     sq = (s * s).sum(axis=-1)
     sup = np.sqrt(sq.max(axis=-1))
     top = max(lags, default=0)
@@ -265,22 +232,16 @@ def _pruned_best(x: np.ndarray, sq: np.ndarray, lags) -> np.ndarray | None:
     return best[lags]
 
 
-# the entry point of the ``paths.modulus`` stage in perfbench/tracer.py; it can
-# go once that stage hooks dual_path_stats, which the reports call
-def modulus_dual(x: DualPath, delta: float, r) -> float:
-    """Modulus of continuity in the dual norm of rung ``r``.
-
-    Maximum of ``p'_r(x(t_i) - x(t_j))`` over grid pairs with
-    ``|t_i - t_j| <= delta``.
-    """
-    return float(dual_path_stats(x.states, x.grid, [delta], r)[1][0])
+def modulus_dual(x, grid: TimeGrid, delta: float, r):
+    """Modulus ``max p'_r(x(t_i) - x(t_j))`` over grid pairs with ``|t_i - t_j|
+    <= delta``, shape ``(...)`` for paths ``(..., J+1, N)``: :func:`dual_path_stats`."""
+    return dual_path_stats(x, grid, [delta], r)[1][..., 0]
 
 
-# the entry point of the ``paths.sup`` stage in perfbench/tracer.py, kept
-# until that stage hooks dual_path_stats like ``paths.modulus``
-def sup_dual_norm(x: DualPath, r) -> float:
-    """Running supremum ``max_j p'_r(x(t_j))`` over the grid."""
-    return float(dual_path_stats(x.states, x.grid, [], r)[0])
+def sup_dual_norm(x, grid: TimeGrid, r):
+    """Running supremum ``max_j p'_r(x(t_j))``, shape ``(...)`` for paths
+    ``(..., J+1, N)``: :func:`dual_path_stats`."""
+    return dual_path_stats(x, grid, [], r)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ from .hermite import (
     derivative_op,
     heat_matrix,
     laplacian_op,
-    pairing,
 )
 from .martingales import (
+    NumericalIntegrityError,
     ParticleEnsemble,
     QuadraticForm,
     _limit_states,
@@ -49,12 +49,7 @@ from .martingales import (
     parallel_map,
     run_blocks,
 )
-from .paths import (
-    DualPath,
-    TimeGrid,
-    containment_summary,
-    dual_path_stats,
-)
+from .paths import TimeGrid, _dual_states, containment_summary, dual_path_stats
 from .rng import stream
 
 __all__ = [
@@ -67,14 +62,15 @@ __all__ = [
 ]
 
 
-# kept for demo 03, which wraps one driver as a DualPath; the reports call _mn_dual_states
-def mn_dual_path(particles: ParticleEnsemble, basis: BasisSpec) -> DualPath:
-    """Coordinate paths of the particle martingale as one dual-valued path.
+def mn_dual_path(particles: ParticleEnsemble, basis: BasisSpec) -> np.ndarray:
+    """Coordinate paths of the particle martingale as dual paths, shape
+    ``(..., J+1, N)``: one per repetition of a block, each with the bits the
+    repetition gets alone.
 
     Coordinate ``k`` at each node equals the scalar Euler sum against the
     ``k``-th basis function, all computed from the same particle realization.
     """
-    return DualPath(particles.grid, basis, _mn_dual_states(particles, basis)[0])
+    return _mn_dual_states(particles, basis)[0]
 
 
 def sample_initial(
@@ -93,8 +89,9 @@ def sample_initial(
     The gaussian kind draws coefficient ``k`` from
     Normal(0, scale^2 (2k+1)^(-2r)) and requires ``r > 1/2`` so the dual
     norm stays summable as the truncation grows.  It uses the stream keyed
-    by ``(tag, *stream_id)`` (one index or a tuple of them), independent of
-    every particle stream.
+    by ``(seed, tag, *stream_id)`` (one index or a tuple of them),
+    independent of every particle stream.  A draw too large for floating
+    point raises :class:`NumericalIntegrityError`.
     """
     if kind == "zero":
         return DualElement(basis, np.zeros(basis.size))
@@ -108,8 +105,10 @@ def sample_initial(
         ids = stream_id if isinstance(stream_id, tuple) else (stream_id,)
         gen = stream(seed, tag, *ids)
         k = np.arange(basis.size)
-        sd = float(scale) * (2.0 * k + 1.0) ** (-float(r))
-        return DualElement(basis, gen.standard_normal(basis.size) * sd)
+        coeffs = gen.standard_normal(basis.size) * (float(scale) * (2.0 * k + 1.0) ** (-float(r)))
+        if not np.all(np.isfinite(coeffs)):
+            raise NumericalIntegrityError(f"gaussian initial state of scale {scale!r} overflows")
+        return DualElement(basis, coeffs)
     raise ValueError(f"unknown initial-state kind {kind!r}")
 
 
@@ -158,38 +157,47 @@ def _mild_states(
     return out
 
 
-# kept for demo 03, which solves one DualPath; the reports batch through _HeatSolver
-def mild_solution(driver: DualPath, eta: DualElement) -> DualPath:
-    """Solve the heat evolution driven by ``driver`` from initial state ``eta``."""
-    if driver.basis != eta.basis:
-        raise ValueError("driver and initial state must share a basis")
-    states = _HeatSolver(driver.basis, driver.grid).solve(driver.states, eta.coeffs)
-    return DualPath(driver.grid, driver.basis, states)
+def mild_solution(driver, eta, grid: TimeGrid) -> np.ndarray:
+    """Solve the heat evolution driven by ``driver`` (``(..., J+1, N)``) from
+    initial coefficients ``eta`` (broadcasting to ``(..., N)``).  A block of
+    paths is solved with matrix products, which round differently (about
+    1e-14 relative) from the matrix-vector products of a single path."""
+    driver = _dual_states(driver, grid, "driver")
+    size = driver.shape[-1]
+    eta = _initial_coeffs(eta, driver.shape[:-2] + (size,))
+    # the Laplacian and the semigroup depend on the truncation size alone
+    return _HeatSolver(BasisSpec(size, 2 * size), grid).solve(driver, eta)
 
 
-def weak_form_residual(
-    solution: DualPath, driver: DualPath, eta: DualElement, phi: TestFunction
-) -> float:
-    """Largest violation of the integrated weak form along the grid.
+def weak_form_residual(solution, driver, eta, phi: TestFunction, grid: TimeGrid) -> np.ndarray:
+    """Largest violation of the integrated weak form along the grid, per path.
 
     Checks ``<Y_t, phi> = <eta, phi> + int_0^t <Y_r, Lap phi> dr + <M_t, phi>``
     with the trapezoid rule for the time integral; returns the max over grid
-    nodes of the absolute defect.
+    nodes of the absolute defect, shape ``(...)`` for paths ``(..., J+1, N)``.
+    Each path's ``<eta, phi>`` is its own dot product, so every path in a
+    block gets the bits it gets alone.
     """
-    if solution.basis != driver.basis or solution.basis != phi.basis:
-        raise ValueError("solution, driver and phi must share a basis")
-    if solution.grid != driver.grid:
-        raise ValueError("solution and driver must share a grid")
-    y = solution.states @ phi.coeffs
-    m = driver.states @ phi.coeffs
-    lap_phi = laplacian_op(phi.basis) @ phi.coeffs
-    integrand = solution.states @ lap_phi
-    dt = solution.grid.dt
-    integral = np.empty_like(y)
-    integral[0] = 0.0
-    np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]), out=integral[1:])
-    defect = y - pairing(eta, phi) - integral - m
-    return float(np.max(np.abs(defect)))
+    y_states = _dual_states(solution, grid, "solution")
+    m_states = _dual_states(driver, grid, "driver")
+    if m_states.shape != y_states.shape or y_states.shape[-1] != phi.basis.size:
+        raise ValueError("solution, driver and phi must share a basis and a shape")
+    eta = _initial_coeffs(eta, y_states.shape[:-2] + (phi.basis.size,)).reshape(-1, phi.basis.size)
+    start = np.array([e @ phi.coeffs for e in eta]).reshape(y_states.shape[:-2] + (1,))
+    y = y_states @ phi.coeffs
+    integrand = y_states @ (laplacian_op(phi.basis) @ phi.coeffs)
+    integral = np.zeros_like(y)
+    np.cumsum(0.5 * grid.dt * (integrand[..., 1:] + integrand[..., :-1]), axis=-1, out=integral[..., 1:])
+    defect = y - start - integral - m_states @ phi.coeffs
+    return np.max(np.abs(defect), axis=-1)
+
+
+def _initial_coeffs(eta, shape: tuple) -> np.ndarray:
+    """Finite initial coefficients ``eta`` broadcast to ``shape``, ``(..., N)``."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.shape[-1:] != shape[-1:] or not np.all(np.isfinite(eta)):
+        raise ValueError(f"eta must hold {shape[-1]} finite coefficients per path")
+    return np.broadcast_to(eta, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +355,8 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
         over every phi, and the solution itself when paths are collected."""
         cells = np.array([[sol[j] @ c for c, j in cell_vectors] for sol in sols])
         sup, mods = dual_path_stats(sols, grid, deltas, tightness_index)
-        resid = []
-        for driver, eta, sol in zip(drivers, etas, sols):
-            y, m, e = DualPath(grid, basis, sol), DualPath(grid, basis, driver), DualElement(basis, eta)
-            resid.append(max(weak_form_residual(y, m, e, phi) for phi in phis))
-        return cells, sup, mods, np.array(resid), sols if collect_paths else None
+        resid = np.max([weak_form_residual(sols, drivers, etas, phi, grid) for phi in phis], axis=0)
+        return cells, sup, mods, resid, sols if collect_paths else None
 
     def summary(sup, mods, resid) -> dict:
         resid_max = float(resid.max())

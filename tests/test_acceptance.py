@@ -92,11 +92,11 @@ def particle_study(basis, grid):
             particles = simulate_particles(n, grid, SEED, stream_id=rep)
             path0 = mn_scalar_path(h0, particles)
             path1 = mn_scalar_path(h1, particles)
-            joint[rep, 0] = path0.at(0.5)
-            joint[rep, 1] = path1.at(1.0)
-            qv1[rep] = quadratic_variation_path(h0, particles).values[-1]
+            joint[rep, 0] = path0[grid.index_of(0.5)]
+            joint[rep, 1] = path1[grid.index_of(1.0)]
+            qv1[rep] = quadratic_variation_path(h0, particles)[-1]
             if rep < dual_reps:
-                sups[rep] = sup_dual_norm(mn_dual_path(particles, basis), 1.0)
+                sups[rep] = sup_dual_norm(mn_dual_path(particles, basis), grid, 1.0)
         out[n] = {"joint": joint, "qv1": qv1, "sups": sups}
     return out
 
@@ -171,7 +171,7 @@ def test_criterion_04_ito_isometry(basis, grid):
     terminal = np.empty(reps)
     for rep in range(reps):
         particles = simulate_particles(50, grid, SEED, stream_id=rep)
-        terminal[rep] = mn_scalar_path(h0, particles).values[-1]
+        terminal[rep] = mn_scalar_path(h0, particles)[-1]
     var = terminal.var(ddof=1)
     m4 = np.mean((terminal - terminal.mean()) ** 4)
     se = np.sqrt(max(m4 - var**2, 0.0) / reps)
@@ -202,7 +202,7 @@ def test_criterion_06_one_dimensional_clt(basis, grid):
     terminal = np.empty(reps)
     for rep in range(reps):
         particles = simulate_particles(200, grid, SEED, stream_id=rep)
-        terminal[rep] = mn_scalar_path(h0, particles).values[-1]
+        terminal[rep] = mn_scalar_path(h0, particles)[-1]
     result = ks_one_sample(terminal / np.sqrt(target), ndtr)
     ok = result.statistic < result.critical_1
     _record(
@@ -249,8 +249,8 @@ def test_criterion_09_spde_solver_integrity():
             particles = simulate_particles(20, g, SEED, stream_id=rep)
             driver = mn_dual_path(particles, basis)
             eta = sample_initial("gaussian", basis, SEED, r=1.0, stream_id=rep)
-            sol = mild_solution(driver, eta)
-            vals.append(weak_form_residual(sol, driver, eta, h0))
+            sol = mild_solution(driver, eta.coeffs, g)
+            vals.append(weak_form_residual(sol, driver, eta.coeffs, h0, g))
         means.append(np.mean(vals))
     slope = float(np.polyfit(np.log([1.0 / s for s in step_list]), np.log(means), 1)[0])
 

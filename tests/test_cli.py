@@ -168,6 +168,15 @@ def test_rejects_malformed_json(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_rejects_unreadable_config(tmp_path, capsys):
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes(b'{"seed": "\xff"}')
+    for path in (tmp_path, binary):
+        assert run(["clt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: cannot read the config" in err and "Traceback" not in err
+
+
 def test_rejects_unknown_scenario(tmp_path):
     assert run(["clt", "--config", "no-such-scenario", "--out", str(tmp_path / "o")]) == 2
 
@@ -472,6 +481,25 @@ def test_numerical_integrity_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "heat_convergence_report", boom)
     assert run(["heat", "--config", "heat-smoke", "--out", str(tmp_path / "o")]) == 3
     assert "numerical-integrity" in capsys.readouterr().err
+
+
+# finite inputs whose statistics overflow: numpy warns on the way
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, override, quantity",
+    [
+        ("clt", {"phi_list": [[1e308, 1e308]]}, "statistic cells[0]['qv_mean'] is not finite"),
+        ("heat", {"eta": {"kind": "gaussian", "r": 1.0, "scale": 1e308}}, "gaussian initial state"),
+        ("tightness", {"eta": {"kind": "gaussian", "r": 1.0, "scale": 1e308}}, "gaussian initial state"),
+    ],
+    ids=["clt-phi", "heat-eta", "tightness-eta"],
+)
+def test_huge_finite_inputs_are_numerical_integrity_failures(tmp_path, capsys, command, override, quantity):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cli.load_config(f"{command}-smoke"), **override}))
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"numerical-integrity failure: {quantity}" in err and "Traceback" not in err
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -75,21 +75,21 @@ def test_particles_reject_zero_count():
 def test_mn_starts_at_zero(basis, h0):
     grid = TimeGrid(1.0, 100)
     p = simulate_particles(25, grid, 4)
-    assert mn_scalar_path(h0, p).values[0] == 0.0
+    assert mn_scalar_path(h0, p)[0] == 0.0
 
 
 def test_mn_scaling_linearity(basis, h0):
     grid = TimeGrid(1.0, 100)
     p = simulate_particles(25, grid, 5)
-    base = mn_scalar_path(h0, p).values
-    scaled = mn_scalar_path(TestFunction(basis, 2.5 * h0.coeffs), p).values
+    base = mn_scalar_path(h0, p)
+    scaled = mn_scalar_path(TestFunction(basis, 2.5 * h0.coeffs), p)
     assert np.allclose(scaled, 2.5 * base, rtol=1e-12, atol=1e-14)
 
 
 def test_mn_ensemble_mean_near_zero(basis, h0):
     grid = TimeGrid(1.0, 250)
     vals = np.array(
-        [mn_scalar_path(h0, simulate_particles(20, grid, 6, r)).values[-1] for r in range(500)]
+        [mn_scalar_path(h0, simulate_particles(20, grid, 6, r))[-1] for r in range(500)]
     )
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean()) < 3 * se
@@ -98,7 +98,7 @@ def test_mn_ensemble_mean_near_zero(basis, h0):
 def test_qv_nondecreasing_from_zero(basis, h0):
     grid = TimeGrid(1.0, 200)
     p = simulate_particles(30, grid, 7)
-    qv = quadratic_variation_path(h0, p).values
+    qv = quadratic_variation_path(h0, p)
     assert qv[0] == 0.0
     assert np.all(np.diff(qv) >= 0.0)
 
@@ -108,7 +108,7 @@ def test_qv_mean_matches_variance_target(basis, h0):
     target = limit_variance(h0, 1.0)
     vals = np.array(
         [
-            quadratic_variation_path(h0, simulate_particles(50, grid, 8, r)).values[-1]
+            quadratic_variation_path(h0, simulate_particles(50, grid, 8, r))[-1]
             for r in range(400)
         ]
     )
@@ -123,8 +123,8 @@ def test_ito_isometry_var_vs_qv_mean(basis, h0):
     qv = np.empty(500)
     for rep in range(500):
         particles = simulate_particles(20, grid, 21, rep)
-        terminal[rep] = mn_scalar_path(h0, particles).values[-1]
-        qv[rep] = quadratic_variation_path(h0, particles).values[-1]
+        terminal[rep] = mn_scalar_path(h0, particles)[-1]
+        qv[rep] = quadratic_variation_path(h0, particles)[-1]
     var = terminal.var(ddof=1)
     m4 = np.mean((terminal - terminal.mean()) ** 4)
     se_var = np.sqrt(max(m4 - var**2, 0.0) / terminal.size)
@@ -284,7 +284,7 @@ def test_qv_steps_from_kept_modes(basis, keep, coeffs):
     mn_steps = (vals * particles.increments).sum(axis=0) / np.sqrt(6)
     qv_steps = (vals * vals).sum(axis=0) * (particles.grid.dt / 6)
     for path, steps in ((mn_scalar_path, mn_steps), (quadratic_variation_path, qv_steps)):
-        assert np.array_equal(path(phi, particles).values, np.concatenate([[0.0], np.cumsum(steps)]))
+        assert np.array_equal(path(phi, particles), np.concatenate([[0.0], np.cumsum(steps)]))
 
 
 def _bits(x):
@@ -332,7 +332,7 @@ def test_qv_variance_shrinks_with_n(basis, h0):
     for n in (10, 160):
         vals = np.array(
             [
-                quadratic_variation_path(h0, simulate_particles(n, grid, 9, r)).values[-1]
+                quadratic_variation_path(h0, simulate_particles(n, grid, 9, r))[-1]
                 for r in range(600)
             ]
         )

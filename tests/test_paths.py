@@ -4,8 +4,6 @@ import pytest
 from nucleartight import paths
 from nucleartight.hermite import TestFunction
 from nucleartight.paths import (
-    DualPath,
-    ScalarPath,
     TimeGrid,
     containment_summary,
     dual_path_stats,
@@ -22,12 +20,12 @@ from oracles import brute_force_dual_modulus
 def dual_path_from_scalar(grid, basis, scalar_values, mode=0):
     states = np.zeros((grid.steps + 1, basis.size))
     states[:, mode] = scalar_values
-    return DualPath(grid, basis, states)
+    return states
 
 
-def projection_modulus(x, deltas, phi):
+def projection_modulus(x, grid, deltas, phi):
     """Modulus of ``t -> <x(t), phi>``: the projection is a one-mode path at r = 0."""
-    return dual_path_stats((x.states @ phi.coeffs)[:, None], x.grid, deltas, 0.0)[1]
+    return dual_path_stats((x @ phi.coeffs)[:, None], grid, deltas, 0.0)[1]
 
 
 def containment(states, grid, r, c_levels, deltas):
@@ -50,18 +48,18 @@ def test_time_grid_validation():
 def test_path_shape_and_finiteness(basis16):
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError):
-        ScalarPath(grid, np.zeros(10))
+        sup_dual_norm(np.zeros((10, basis16.size)), grid, 1.0)
     with pytest.raises(ValueError):
-        DualPath(grid, basis16, np.full((11, basis16.size), np.nan))
+        sup_dual_norm(np.full((11, basis16.size), np.nan), grid, 1.0)
 
 
 def test_modulus_constant_path(basis16):
     grid = TimeGrid(1.0, 20)
     x = dual_path_from_scalar(grid, basis16, np.full(21, 3.0))
     phi = unit_function(basis16, 0)
-    assert projection_modulus(x, [0.05, 0.3, 1.0], phi).tolist() == [0.0, 0.0, 0.0]
+    assert projection_modulus(x, grid, [0.05, 0.3, 1.0], phi).tolist() == [0.0, 0.0, 0.0]
     for delta in (0.05, 0.3, 1.0):
-        assert modulus_dual(x, delta, 1.0) == 0.0
+        assert modulus_dual(x, grid, delta, 1.0) == 0.0
 
 
 def test_modulus_linear_path(basis16):
@@ -69,18 +67,18 @@ def test_modulus_linear_path(basis16):
     x = dual_path_from_scalar(grid, basis16, grid.nodes())
     phi = unit_function(basis16, 0)
     # non-strict comparison: gap exactly delta is included
-    assert projection_modulus(x, [0.1, 0.25], phi) == pytest.approx([0.1, 0.25], abs=1e-12)
+    assert projection_modulus(x, grid, [0.1, 0.25], phi) == pytest.approx([0.1, 0.25], abs=1e-12)
 
 
 def test_modulus_monotone_in_delta(basis16):
     rng = np.random.default_rng(7)
     grid = TimeGrid(1.0, 50)
     states = rng.standard_normal((51, basis16.size))
-    x = DualPath(grid, basis16, states)
+    x = states
     phi = TestFunction(basis16, rng.standard_normal(basis16.size))
     deltas = [0.02, 0.1, 0.3, 0.7, 1.0]
-    tvals = projection_modulus(x, deltas, phi).tolist()
-    dvals = [modulus_dual(x, d, 0.5) for d in deltas]
+    tvals = projection_modulus(x, grid, deltas, phi).tolist()
+    dvals = [modulus_dual(x, grid, d, 0.5) for d in deltas]
     assert all(a <= b + 1e-14 for a, b in zip(tvals, tvals[1:]))
     assert all(a <= b + 1e-14 for a, b in zip(dvals, dvals[1:]))
 
@@ -89,25 +87,25 @@ def test_modulus_rejects_bad_delta(basis16):
     grid = TimeGrid(1.0, 10)
     x = dual_path_from_scalar(grid, basis16, np.zeros(11))
     with pytest.raises(ValueError):
-        modulus_dual(x, 0.0, 1.0)
+        modulus_dual(x, grid, 0.0, 1.0)
     with pytest.raises(ValueError):
-        modulus_dual(x, 1.5, 1.0)
+        modulus_dual(x, grid, 1.5, 1.0)
     with pytest.raises(ValueError):
-        modulus_dual(x, float("nan"), 1.0)
+        modulus_dual(x, grid, float("nan"), 1.0)
 
 
 def test_modulus_cauchy_schwarz_chain(basis16):
     rng = np.random.default_rng(13)
     grid = TimeGrid(1.0, 40)
-    x = DualPath(grid, basis16, rng.standard_normal((41, basis16.size)))
+    x = rng.standard_normal((41, basis16.size))
     for _ in range(10):
         phi = TestFunction(basis16, rng.standard_normal(basis16.size))
         r = rng.uniform(0.0, 2.0)
         delta = rng.uniform(0.05, 1.0)
-        lhs = projection_modulus(x, [delta], phi)[0]
-        projected = (x.states @ phi.coeffs)[:, None]
+        lhs = projection_modulus(x, grid, [delta], phi)[0]
+        projected = (x @ phi.coeffs)[:, None]
         assert lhs == brute_force_dual_modulus(projected, grid.nodes(), delta, 0.0)
-        rhs = modulus_dual(x, delta, r) * (
+        rhs = modulus_dual(x, grid, delta, r) * (
             np.sqrt(np.sum(((2 * np.arange(basis16.size) + 1.0) ** r * phi.coeffs) ** 2))
         )
         assert lhs <= rhs * (1 + 1e-12)
@@ -117,25 +115,25 @@ def test_modulus_dual_linear_ground_mode(basis16):
     grid = TimeGrid(1.0, 16)
     x = dual_path_from_scalar(grid, basis16, grid.nodes(), mode=0)
     for r in (0.0, 0.5, 1.0, 2.0):
-        assert modulus_dual(x, 0.25, r) == pytest.approx(0.25, abs=1e-12)
+        assert modulus_dual(x, grid, 0.25, r) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_sup_dual_norm_values(basis16):
     grid = TimeGrid(1.0, 100)
     zero = dual_path_from_scalar(grid, basis16, np.zeros(101))
-    assert sup_dual_norm(zero, 1.0) == 0.0
+    assert sup_dual_norm(zero, grid, 1.0) == 0.0
     # sin(2 pi t) on coordinate k=1: weight (2*1+1)^(1/2) = sqrt(3)
     vals = np.sin(2 * np.pi * grid.nodes())
     x = dual_path_from_scalar(grid, basis16, vals, mode=1)
     expected = np.abs(vals).max() / np.sqrt(3.0)
-    assert sup_dual_norm(x, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert sup_dual_norm(x, grid, 0.5) == pytest.approx(expected, rel=1e-12)
 
 
 def test_sup_dual_norm_monotone_in_index(basis16):
     rng = np.random.default_rng(19)
     grid = TimeGrid(1.0, 30)
-    x = DualPath(grid, basis16, rng.standard_normal((31, basis16.size)))
-    values = [sup_dual_norm(x, r) for r in (0.0, 0.5, 1.0, 2.0)]
+    x = rng.standard_normal((31, basis16.size))
+    values = [sup_dual_norm(x, grid, r) for r in (0.0, 0.5, 1.0, 2.0)]
     assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
 
 
@@ -147,12 +145,12 @@ def test_modulus_subadditive_under_concatenation(basis16):
     second = rng.standard_normal((26, basis16.size))
     second[0] = first[-1]
     spliced = np.vstack([first, second[1:]])
-    x = DualPath(grid_full, basis16, spliced)
-    x1 = DualPath(grid_half, basis16, first)
-    x2 = DualPath(grid_half, basis16, second)
+    x = spliced
+    x1 = first
+    x2 = second
     for delta in (0.04, 0.1, 0.2):
-        whole = modulus_dual(x, delta, 1.0)
-        parts = modulus_dual(x1, delta, 1.0) + modulus_dual(x2, delta, 1.0)
+        whole = modulus_dual(x, grid_full, delta, 1.0)
+        parts = modulus_dual(x1, grid_half, delta, 1.0) + modulus_dual(x2, grid_half, delta, 1.0)
         assert whole <= parts + 1e-12
 
 
@@ -187,9 +185,9 @@ def test_dual_path_stats_batch_equals_single_paths(basis16):
         one_sup, one_mod = dual_path_stats(states[i], grid, ORACLE_DELTAS, 1.0)
         assert sup[i] == one_sup
         assert np.array_equal(mod[i], one_mod)
-        x = DualPath(grid, basis16, states[i])
-        assert sup[i] == sup_dual_norm(x, 1.0)
-        assert mod[i].tolist() == [modulus_dual(x, d, 1.0) for d in ORACLE_DELTAS]
+        x = states[i]
+        assert sup[i] == sup_dual_norm(x, grid, 1.0)
+        assert mod[i].tolist() == [modulus_dual(x, grid, d, 1.0) for d in ORACLE_DELTAS]
     empty_sup, empty_mod = dual_path_stats(states, grid, [], 1.0)
     assert np.array_equal(empty_sup, sup)
     assert empty_mod.shape == (4, 0)

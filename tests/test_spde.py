@@ -5,7 +5,7 @@ import oracles
 from nucleartight import spde
 from nucleartight.hermite import BasisSpec, DualElement, TestFunction, heat_matrix
 from nucleartight.martingales import simulate_particles
-from nucleartight.paths import DualPath, TimeGrid, containment_summary, dual_path_stats
+from nucleartight.paths import TimeGrid, containment_summary, dual_path_stats, modulus_dual, sup_dual_norm
 from nucleartight.spde import (
     heat_convergence_report,
     mild_solution,
@@ -14,7 +14,7 @@ from nucleartight.spde import (
     tightness_report,
     weak_form_residual,
 )
-from nucleartight.martingales import mn_scalar_path
+from nucleartight.martingales import mn_scalar_path, quadratic_variation_path
 
 from conftest import scenario, unit_function
 
@@ -30,7 +30,7 @@ def grid():
 
 
 def zero_driver(grid, basis):
-    return DualPath(grid, basis, np.zeros((grid.steps + 1, basis.size)))
+    return np.zeros((grid.steps + 1, basis.size))
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +44,53 @@ def test_dual_path_matches_scalar_sums(basis, grid):
     rng = np.random.default_rng(2)
     for _ in range(5):
         phi = TestFunction(basis, rng.standard_normal(basis.size))
-        scalar = mn_scalar_path(phi, particles).values
-        projected = dual.states @ phi.coeffs
+        scalar = mn_scalar_path(phi, particles)
+        projected = dual @ phi.coeffs
         assert np.abs(scalar - projected).max() < 1e-10
 
 
 def test_dual_path_starts_at_zero(basis, grid):
     dual = mn_dual_path(simulate_particles(10, grid, 3), basis)
-    assert np.all(dual.states[0] == 0.0)
+    assert np.all(dual[0] == 0.0)
+
+
+# n * J is odd, so contractions whose length is not a multiple of 4 are
+# covered; lags of 2 and of 30 steps reach the dense and the pruned modulus
+@pytest.mark.parametrize("n, steps, size", [(3, 7, 5), (5, 33, 16), (7, 101, 9)])
+def test_block_calls_equal_per_repetition_calls(n, steps, size):
+    """A block from ``simulate_particles(n, grid, seed, range(R))`` gives every
+    repetition the bits of its own call; a block's mild solve runs matrix
+    products, so it agrees with single-path solves to rounding only."""
+    basis, grid, reps = BasisSpec(size, 2 * size), TimeGrid(1.0, steps), 5
+    rng = np.random.default_rng(steps)
+    phi = TestFunction(basis, rng.standard_normal(size))
+    block = simulate_particles(n, grid, 4, range(reps))
+    singles = [simulate_particles(n, grid, 4, rep) for rep in range(reps)]
+    for path in (mn_scalar_path, quadratic_variation_path):
+        assert np.array_equal(path(phi, block), [path(phi, p) for p in singles])
+    drivers = mn_dual_path(block, basis)
+    assert np.array_equal(drivers, [mn_dual_path(p, basis) for p in singles])
+
+    etas = rng.standard_normal((reps, size))
+    sols = np.array([mild_solution(m, e, grid) for m, e in zip(drivers, etas)])
+    assert np.abs(mild_solution(drivers, etas, grid) - sols).max() <= 1e-13 * np.abs(sols).max()
+    residuals = [weak_form_residual(y, m, e, phi, grid) for y, m, e in zip(sols, drivers, etas)]
+    assert np.array_equal(weak_form_residual(sols, drivers, etas, phi, grid), residuals)
+    for delta in (2 / steps, min(30, steps) / steps):
+        assert np.array_equal(modulus_dual(sols, grid, delta, 1.0), [modulus_dual(y, grid, delta, 1.0) for y in sols])
+    assert np.array_equal(sup_dual_norm(sols, grid, 1.0), [sup_dual_norm(y, grid, 1.0) for y in sols])
+
+
+def test_path_functions_check_their_inputs(basis, grid):
+    driver, eta, h0 = zero_driver(grid, basis), np.zeros(basis.size), unit_function(basis, 0)
+    with pytest.raises(ValueError, match="driver must have shape"):
+        mild_solution(driver[1:], eta, grid)
+    with pytest.raises(ValueError, match="eta must hold"):
+        mild_solution(driver, np.full(basis.size, np.inf), grid)
+    with pytest.raises(ValueError, match="solution must be finite"):
+        weak_form_residual(np.full_like(driver, np.nan), driver, eta, h0, grid)
+    with pytest.raises(ValueError, match="share a basis"):
+        weak_form_residual(driver[:, :-1], driver[:, :-1], eta[:-1], h0, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +155,21 @@ def test_initial_stream_separated_from_particles(basis, grid):
 
 def test_pure_heat_flow(basis, grid):
     eta = DualElement(basis, np.eye(basis.size)[0])
-    sol = mild_solution(zero_driver(grid, basis), eta)
+    sol = mild_solution(zero_driver(grid, basis), eta.coeffs, grid)
     h0 = unit_function(basis, 0)
     # <Y_t, h_0> = <eta, E(t) h_0> has closed form (1+t)^(-1/2) for this eta
     for t in (0.25, 0.5, 1.0):
-        value = sol.states[grid.index_of(t)] @ h0.coeffs
+        value = sol[grid.index_of(t)] @ h0.coeffs
         assert abs(value - (1.0 + t) ** -0.5) < 1e-4
     expected = heat_matrix(0.5, basis) @ eta.coeffs
-    assert np.abs(sol.states[grid.index_of(0.5)] - expected).max() < 1e-12
+    assert np.abs(sol[grid.index_of(0.5)] - expected).max() < 1e-12
 
 
 def test_zero_data_zero_solution(basis, grid):
     eta = DualElement(basis, np.zeros(basis.size))
-    sol = mild_solution(zero_driver(grid, basis), eta)
-    assert np.all(sol.states == 0.0)
-    assert weak_form_residual(sol, zero_driver(grid, basis), eta, unit_function(basis, 0)) == 0.0
+    sol = mild_solution(zero_driver(grid, basis), eta.coeffs, grid)
+    assert np.all(sol == 0.0)
+    assert weak_form_residual(sol, zero_driver(grid, basis), eta.coeffs, unit_function(basis, 0), grid) == 0.0
 
 
 def test_mild_solution_additive(basis, grid):
@@ -139,19 +178,19 @@ def test_mild_solution_additive(basis, grid):
     driver = mn_dual_path(particles, basis)
     eta1 = DualElement(basis, rng.standard_normal(basis.size))
     eta2 = DualElement(basis, rng.standard_normal(basis.size))
-    sol1 = mild_solution(driver, eta1)
-    sol2 = mild_solution(zero_driver(grid, basis), eta2)
-    combined = mild_solution(driver, DualElement(basis, eta1.coeffs + eta2.coeffs))
-    assert np.allclose(combined.states, sol1.states + sol2.states, rtol=1e-12, atol=1e-12)
+    sol1 = mild_solution(driver, eta1.coeffs, grid)
+    sol2 = mild_solution(zero_driver(grid, basis), eta2.coeffs, grid)
+    combined = mild_solution(driver, DualElement(basis, eta1.coeffs + eta2.coeffs).coeffs, grid)
+    assert np.allclose(combined, sol1 + sol2, rtol=1e-12, atol=1e-12)
 
 
 def test_semigroup_consistency_without_driver(basis, grid):
     rng = np.random.default_rng(10)
     eta = DualElement(basis, rng.standard_normal(basis.size))
-    sol = mild_solution(zero_driver(grid, basis), eta)
+    sol = mild_solution(zero_driver(grid, basis), eta.coeffs, grid)
     e_half = heat_matrix(0.5, basis)
-    lhs = sol.states[grid.index_of(0.75)]
-    rhs = e_half @ sol.states[grid.index_of(0.25)]
+    lhs = sol[grid.index_of(0.75)]
+    rhs = e_half @ sol[grid.index_of(0.25)]
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -159,7 +198,7 @@ def test_mild_rejects_basis_mismatch(basis, grid):
     other = BasisSpec(8, 16)
     eta = DualElement(other, np.zeros(8))
     with pytest.raises(ValueError):
-        mild_solution(zero_driver(grid, basis), eta)
+        mild_solution(zero_driver(grid, basis), eta.coeffs, grid)
 
 
 def test_residual_small_and_first_order(basis):
@@ -173,8 +212,8 @@ def test_residual_small_and_first_order(basis):
             particles = simulate_particles(20, g, 11, rep)
             driver = mn_dual_path(particles, basis)
             eta = sample_initial("gaussian", basis, 11, r=1.0, stream_id=rep)
-            sol = mild_solution(driver, eta)
-            vals.append(weak_form_residual(sol, driver, eta, h0))
+            sol = mild_solution(driver, eta.coeffs, g)
+            vals.append(weak_form_residual(sol, driver, eta.coeffs, h0, g))
         means.append(np.mean(vals))
         assert max(vals) < 10.0 * g.dt
     slope = np.polyfit(np.log([1.0 / s for s in step_counts]), np.log(means), 1)[0]
@@ -260,7 +299,7 @@ def test_calibration_functional_matches_mild_solves(basis, eta_spec, cal_steps, 
 
 def test_brownian_ensemble_modulus_median_monotone(basis, grid):
     states = np.array(
-        [mn_dual_path(simulate_particles(10, grid, 15, r), basis).states for r in range(30)]
+        [mn_dual_path(simulate_particles(10, grid, 15, r), basis) for r in range(30)]
     )
     deltas = [0.02, 0.05, 0.1, 0.2, 0.5]
     sups, mods = dual_path_stats(states, grid, deltas, 1.0)
