@@ -9,7 +9,6 @@ Run:  python demos/02_martingale_clt.py     (about half a minute)
 """
 
 import numpy as np
-from scipy.special import ndtr
 
 from nucleartight import (
     BasisSpec,
@@ -17,6 +16,7 @@ from nucleartight import (
     ks_one_sample,
     limit_variance,
     mn_scalar_path,
+    normal_cdf,
     quadratic_variation_path,
     simulate_limit,
     simulate_particles,
@@ -50,7 +50,7 @@ terminal = np.array(
     [mn_scalar_path(h0, simulate_particles(200, grid, SEED, r))[-1] for r in range(reps)]
 )
 print(f"Var(M_1(h0)) = {terminal.var(ddof=1):.5f} vs A(1,h0) = {target:.5f}")
-ks = ks_one_sample(terminal / np.sqrt(target), ndtr)
+ks = ks_one_sample(terminal / np.sqrt(target), normal_cdf)
 print(f"KS against standard normal: {ks.statistic:.4f} (1% critical {ks.critical_1:.4f})")
 
 print("\n== the limit family, sampled from its covariance ==")

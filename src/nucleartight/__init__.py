@@ -55,6 +55,7 @@ from .diagnostics import (
     energy_distance,
     ks_one_sample,
     ks_two_sample,
+    normal_cdf,
 )
 from .rng import stream
 

@@ -31,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import expm
 
 __all__ = [
     "BasisSpec",
@@ -322,11 +321,18 @@ def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
     huge times (``1e50`` at ``N = 8``) the squaring overflows, and a
     non-finite result raises ``ValueError``.  Cached: a config check and the
     solver it admits ask for the same step.
+
+    ``scipy.linalg`` is imported here, on the first call, not with the
+    module: the commands that step the semigroup (heat, tightness,
+    basis-check) load it while ``materialize`` checks their config, and clt
+    never does.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     if t == 0.0:
         return _as_readonly(np.eye(basis.size))
+    from scipy.linalg import expm
+
     e = expm(t * laplacian_op(basis))
     if not np.all(np.isfinite(e)):
         raise ValueError(f"heat semigroup at time {t!r} is not finite")

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import diagnostics
 from .config import _basis_from, _grid_from, _phis_from, _tightness_from, materialize
@@ -474,6 +473,7 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
     limit = simulate_limit(phis, grid, reps, seed)
     # columns phi outer, t inner, as the particle sample ``mn_vals`` below
     limit_joint = limit[:, t_idx].swapaxes(1, 2).reshape(reps, -1)
+    limit_within = diagnostics.distance_matrix(limit_joint)  # shared by every n
 
     dcoefs = [_derivative_coeffs(phi) for phi in phis]
     keep = max(_span(dcoef) for dcoef in dcoefs)  # modes every phi' needs
@@ -496,7 +496,7 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
         mn_vals, qv_vals, sups, mod_table, states = run_blocks(n, reps, grid, basis, seed, threads, one_block)
 
         joint = mn_vals.reshape(reps, -1)
-        energy, energy_se = diagnostics.energy_distance_with_se(joint, limit_joint)
+        energy, energy_se = diagnostics.energy_distance_with_se(joint, limit_joint, y_within=limit_within)
 
         tightness = containment_summary(sups, mod_table, levels, deltas)
         extras["per_n"][n] = {
@@ -516,7 +516,7 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
                 qv_se = float(qv_sample.std(ddof=1) / np.sqrt(reps))
                 mn_var = float(sample.var(ddof=1))
                 m4 = float(np.mean((sample - sample.mean()) ** 4))
-                var_se = float(np.sqrt(max(m4 - mn_var**2, 0.0) / reps))
+                var_se = float(np.sqrt(max(m4 - np.square(mn_var), 0.0) / reps))
                 cell = {
                     "n": n,
                     "phi": _phi_label(phi),
@@ -537,7 +537,7 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
                         {"degenerate": True, "ks": 0.0, "ks_critical": 0.0}
                     )
                 else:
-                    ks = diagnostics.ks_one_sample(sample / np.sqrt(target), ndtr)
+                    ks = diagnostics.ks_one_sample(sample / np.sqrt(target), diagnostics.normal_cdf)
                     cell.update(
                         {
                             "degenerate": False,

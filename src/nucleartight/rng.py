@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 
-def stream(seed: int, tag: str, *index: int) -> np.random.Generator:
+def stream(seed: int, tag: str, *index: int) -> Generator:
     """Return an independent generator keyed by ``(seed, tag, index...)``.
 
     Parameters
@@ -32,5 +32,5 @@ def stream(seed: int, tag: str, *index: int) -> np.random.Generator:
     if any(i < 0 for i in index):
         raise ValueError("stream indices must be nonnegative")
     tag_code = zlib.crc32(tag.encode("utf-8"))
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag_code, *index))
-    return np.random.Generator(np.random.Philox(seq))
+    seq = SeedSequence(entropy=int(seed), spawn_key=(tag_code, *index))
+    return Generator(Philox(seq))

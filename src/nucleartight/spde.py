@@ -377,10 +377,11 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
     def particle_block(particles):
         return reduce(*solver.particle_block(particles))
 
+    limit_within = diagnostics.distance_matrix(limit_cells)  # shared by every n
     cells = []
     for n in cfg["n_list"]:
         n_cells, *stats, n_paths = run_blocks(n, reps, grid, basis, seed, threads, particle_block)
-        energy, energy_se = diagnostics.energy_distance_with_se(n_cells, limit_cells)
+        energy, energy_se = diagnostics.energy_distance_with_se(n_cells, limit_cells, y_within=limit_within)
         extras["per_n"][n] = {"energy": energy, "energy_se": energy_se, **summary(*stats)}
         if collect_paths:
             extras["paths"][n] = n_paths

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -489,10 +492,12 @@ def test_numerical_integrity_exit_code(tmp_path, monkeypatch, capsys):
     "command, override, quantity",
     [
         ("clt", {"phi_list": [[1e308, 1e308]]}, "statistic cells[0]['qv_mean'] is not finite"),
+        # the variance is finite but its square is not
+        ("clt", {"phi_list": [[1e80]]}, "statistic cells[0]['qv_se'] is not finite"),
         ("heat", {"eta": {"kind": "gaussian", "r": 1.0, "scale": 1e308}}, "gaussian initial state"),
         ("tightness", {"eta": {"kind": "gaussian", "r": 1.0, "scale": 1e308}}, "gaussian initial state"),
     ],
-    ids=["clt-phi", "heat-eta", "tightness-eta"],
+    ids=["clt-phi", "clt-phi-squared", "heat-eta", "tightness-eta"],
 )
 def test_huge_finite_inputs_are_numerical_integrity_failures(tmp_path, capsys, command, override, quantity):
     path = tmp_path / "cfg.json"
@@ -500,6 +505,39 @@ def test_huge_finite_inputs_are_numerical_integrity_failures(tmp_path, capsys, c
     assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert f"numerical-integrity failure: {quantity}" in err and "Traceback" not in err
+
+
+# a fresh interpreter: which scipy modules the package, clt and set-up load
+_IMPORT_PROBE = """
+import json, sys
+from nucleartight import cli
+from nucleartight.martingales import clt_report
+
+heavy = ("scipy.linalg", "scipy.special", "scipy.spatial")
+seen = {"import": sorted(m for m in heavy if m in sys.modules)}
+cfg = {"basis": {"N": 8, "Q": 16}, "grid": {"T": 1.0, "J": 10}, "n_list": [3], "reps": 4, "seed": 1}
+clt_report(cfg)
+seen["clt"] = sorted(m for m in heavy if m in sys.modules)
+cli.materialize("heat", {**cfg, "limit_modes": 8})
+seen["heat-setup"] = sorted(m for m in heavy if m in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_clt_loads_no_scipy_submodule_and_heat_loads_linalg_in_setup():
+    import nucleartight
+
+    src = str(Path(nucleartight.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == {"import": [], "clt": [], "heat-setup": ["scipy.linalg"]}
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -3,16 +3,21 @@ import json
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import cdist
+from scipy.special import ndtr
 
+import oracles
 from nucleartight.diagnostics import (
     ConvergenceReport,
     assemble_report,
     canonical_json,
+    distance_matrix,
     energy_distance,
     energy_distance_with_se,
     ks_one_sample,
     ks_pvalue,
     ks_two_sample,
+    normal_cdf,
     report_hash,
     validate_report,
 )
@@ -59,8 +64,6 @@ def test_ks_statistic_matches_scipy():
 
 def test_ks_one_sample_matches_scipy():
     rng = np.random.default_rng(5)
-    from scipy.special import ndtr
-
     for _ in range(20):
         a = rng.standard_normal(rng.integers(50, 400))
         ours = ks_one_sample(a, ndtr).statistic
@@ -100,8 +103,85 @@ def test_ks_pvalue_sane():
 
 
 # ---------------------------------------------------------------------------
+# normal CDF
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+# where exp(-x^2/2) underflows in erfc: x^2/2 > MAXLOG
+_UNDERFLOW_EDGE = float(np.sqrt(2.0 * 7.09782712893383996843e2))
+
+
+def test_normal_cdf_equals_ndtr_on_a_dense_sweep():
+    x = np.linspace(-40.0, 40.0, 800_001)
+    assert _same_bits(normal_cdf(x), ndtr(x))
+
+
+def test_normal_cdf_equals_ndtr_on_random_draws():
+    rng = np.random.default_rng(12)
+    x = np.concatenate(
+        [
+            rng.standard_normal(200_000),
+            rng.standard_normal(200_000) * 10.0,
+            rng.uniform(-40.0, 40.0, 200_000),
+            np.exp(rng.uniform(-700.0, 700.0, 50_000)) * rng.choice([-1.0, 1.0], 50_000),
+        ]
+    )
+    assert _same_bits(normal_cdf(x), ndtr(x))
+
+
+def test_normal_cdf_equals_ndtr_at_the_edges():
+    edge = np.linspace(_UNDERFLOW_EDGE - 1e-9, _UNDERFLOW_EDGE + 1e-9, 20_001)
+    # the branch points of the port: |x| / sqrt 2 at 1 and 8, and the underflow
+    joints = np.sqrt(2.0) * np.array([1.0, 8.0])
+    near = np.concatenate([np.nextafter(joints, 0.0), joints, np.nextafter(joints, np.inf)])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, np.finfo(float).max])
+    x = np.concatenate([edge, -edge, near, -near, special])
+    assert _same_bits(normal_cdf(x), ndtr(x))
+    assert np.count_nonzero(normal_cdf(-edge) == 0.0) > 0  # the sweep crosses the underflow
+    assert np.isnan(normal_cdf(np.nan)) and np.isnan(normal_cdf([1.0, np.nan])[1])
+    assert normal_cdf(0.5) == ndtr(0.5) and np.ndim(normal_cdf(0.5)) == 0
+
+
+# ---------------------------------------------------------------------------
 # energy distance
 # ---------------------------------------------------------------------------
+
+
+def test_distance_matrix_equals_cdist():
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        d, m, n = int(rng.integers(1, 9)), int(rng.integers(1, 301)), int(rng.integers(1, 301))
+        scale = 10.0 ** rng.integers(-3, 4)
+        x, y = rng.standard_normal((m, d)) * scale, rng.standard_normal((n, d)) + 0.5
+        assert _same_bits(distance_matrix(x, y), cdist(x, y))
+        assert _same_bits(distance_matrix(x), cdist(x, x))
+
+
+def test_distance_matrix_crosses_row_chunks(monkeypatch):
+    import nucleartight.diagnostics as diagnostics
+
+    rng = np.random.default_rng(14)
+    x, y = rng.standard_normal((37, 3)), rng.standard_normal((11, 3))
+    # chunks of 3 rows against y and of 1 row against x, down to a 1 x 1 block
+    monkeypatch.setattr(diagnostics, "_DISTANCE_VALUES", 40)
+    assert _same_bits(distance_matrix(x, y), cdist(x, y))
+    assert _same_bits(distance_matrix(x), cdist(x, x))
+
+
+@pytest.mark.parametrize(
+    "m, n, d", [(2, 2, 1), (3, 5, 2), (7, 19, 3), (19, 19, 1), (23, 41, 4), (203, 157, 6), (997, 1003, 6)]
+)
+def test_energy_distance_with_se_equals_cdist_body(m, n, d):
+    rng = np.random.default_rng(m * n * d)
+    x, y = rng.standard_normal((m, d)), rng.standard_normal((n, d)) * 1.5
+    ours = energy_distance_with_se(x, y)
+    assert ours == oracles.energy_distance_with_se_cdist(x, y)
+    assert energy_distance_with_se(x, y, y_within=distance_matrix(y)) == ours
+    assert energy_distance(x, y) == ours[0]
 
 
 def test_energy_distance_identical_multisets():
