@@ -117,9 +117,9 @@ def sample_initial(
 # ---------------------------------------------------------------------------
 
 
-def _apply_laplacian(states: np.ndarray, main: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Pentadiagonal ``states @ Lap`` along the last axis (Lap symmetric)."""
-    out = states * main
+def _apply_laplacian(states: np.ndarray, main: np.ndarray, off: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pentadiagonal ``states @ Lap`` along the last axis (Lap symmetric), into ``out``."""
+    out = np.multiply(states, main, out=out)
     out[..., :-2] += states[..., 2:] * off
     out[..., 2:] += states[..., :-2] * off
     return out
@@ -136,24 +136,40 @@ def _mild_states(
     """Mild-solution states for a batch: shapes (..., J+1, N) and (..., N).
 
     Left-point Duhamel sum evaluated recursively with one semigroup
-    application per step, so the whole path costs O(J N^2).
+    application per step, so the whole path costs O(J N^2).  The Duhamel
+    recurrence runs time-major, so the rows a step reads and writes are
+    contiguous: a step is one ``add`` and one ``matmul`` into the row of
+    ``Lap M`` it has just consumed, which then holds the step's Duhamel sum
+    (plus one ``matmul`` for a nonzero initial state's flow, into the output
+    row).  The sum ``flow + dt * duhamel + driver`` is then formed over the
+    whole array, in the per-step order.  A single path keeps matrix-vector
+    products and a batch matrix products, with the operator the per-step
+    form used, so the bits match it for every leading shape.
     """
-    lm = _apply_laplacian(driver_states, main, off)
-    out = np.empty_like(driver_states)
-    eta_flow = np.broadcast_to(eta_coeffs, driver_states[..., 0, :].shape).copy()
-    out[..., 0, :] = eta_flow + driver_states[..., 0, :]
-    # a zero initial state stays zero: skip its flow, keeping the +0 vectors
-    # its products would give
+    rows = driver_states.shape[-2]
+    out = np.empty(driver_states.shape)
+    drv, tm = np.moveaxis(driver_states, -2, 0), np.moveaxis(out, -2, 0)  # (J+1, ..., N) views
+    # row j - 1 holds Lap M_{t_{j-1}} until step j overwrites it with the
+    # Duhamel sum of step j (row J is never read; a buffer of the driver's
+    # size lets the allocator reuse it for the next path's arrays)
+    duhamel = _apply_laplacian(drv, main, off, np.empty(drv.shape))[:-1]
+    eta_flow = np.broadcast_to(eta_coeffs, drv.shape[1:]).copy()
+    tm[0] = eta_flow + drv[0]
+    # a zero initial state stays zero: skip its flow, keeping the +0 its
+    # products would give
     flows = bool(np.any(eta_coeffs))
-    if not flows:
-        eta_flow = np.zeros_like(eta_flow)
-    duhamel = np.zeros_like(eta_flow)
-    steps = driver_states.shape[-2] - 1
-    for j in range(1, steps + 1):
-        duhamel = (duhamel + lm[..., j - 1, :]) @ e_dt
+    acc, prev = np.empty(drv.shape[1:]), np.zeros(drv.shape[1:])
+    for j in range(1, rows):
+        np.add(prev, duhamel[j - 1], out=acc)
+        prev = np.matmul(acc, e_dt, out=duhamel[j - 1])
         if flows:
-            eta_flow = eta_flow @ e_dt
-        out[..., j, :] = eta_flow + dt * duhamel + driver_states[..., j, :]
+            np.matmul(eta_flow if j == 1 else tm[j - 1], e_dt, out=tm[j])
+    np.multiply(duhamel, dt, out=duhamel)
+    if flows:
+        np.add(tm[1:], duhamel, out=tm[1:])
+    else:
+        np.add(duhamel, 0.0, out=tm[1:])
+    np.add(tm[1:], drv[1:], out=tm[1:])
     return out
 
 
@@ -270,7 +286,8 @@ class _HeatSolver:
     or limit driver, mild solution.
 
     Every draw comes from a stream keyed by its path.  Particle repetitions
-    come in the blocks of :func:`run_blocks` and get one mild solve each; the
+    come in the blocks of :func:`run_blocks` and get one mild solve each
+    (:func:`_mild_states`: two numpy calls per time step); the
     limit chunk size depends only on the grid and the basis, so results
     depend on neither the blocks nor threading.  A limit path's bits do
     depend on its chunk: the mild solve of a single path runs matrix-vector

@@ -228,6 +228,28 @@ def mn_dual_states_full(particles, basis):
     return states
 
 
+def mild_states_loop(driver_states, eta_coeffs, e_dt, main, off, dt):
+    """``spde._mild_states`` as the per-step loop the time-major kernel
+    replaced: about six numpy calls per step on batch-major rows.  A
+    bit-for-bit reference, so it keeps the loop's operators and order."""
+    lm = driver_states * main
+    lm[..., :-2] += driver_states[..., 2:] * off
+    lm[..., 2:] += driver_states[..., :-2] * off
+    out = np.empty_like(driver_states)
+    eta_flow = np.broadcast_to(eta_coeffs, driver_states[..., 0, :].shape).copy()
+    out[..., 0, :] = eta_flow + driver_states[..., 0, :]
+    flows = bool(np.any(eta_coeffs))
+    if not flows:
+        eta_flow = np.zeros_like(eta_flow)
+    duhamel = np.zeros_like(eta_flow)
+    for j in range(1, driver_states.shape[-2]):
+        duhamel = (duhamel + lm[..., j - 1, :]) @ e_dt
+        if flows:
+            eta_flow = eta_flow @ e_dt
+        out[..., j, :] = eta_flow + dt * duhamel + driver_states[..., j, :]
+    return out
+
+
 def sample_limit_states(factors, count, seed, stream_id, tag="limit"):
     """The clt limit sampler the shared ``_limit_states`` kernel replaced:
     one stream for every path, shape ``(count, steps+1, m)``."""

@@ -165,6 +165,26 @@ def test_pure_heat_flow(basis, grid):
     assert np.abs(sol[grid.index_of(0.5)] - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("nonzero_eta", [False, True], ids=["zero-eta", "eta"])
+@pytest.mark.parametrize(
+    "shape", [(31, 6), (1, 31, 6), (3, 31, 6), (2, 2, 31, 6)], ids=["one-path", "batch-1", "batch-3", "batch-2x2"]
+)
+def test_mild_states_match_per_step_loop(shape, nonzero_eta):
+    """The time-major two-call step keeps the bits of the per-step loop for
+    every lead shape: a gemv for one path, a gemm for a batch."""
+    size, steps = shape[-1], shape[-2] - 1
+    solver = spde._HeatSolver(BasisSpec(size, 2 * size), TimeGrid(1.0, steps))
+    rng = np.random.default_rng(len(shape))
+    driver = np.cumsum(rng.standard_normal(shape), axis=-2)
+    driver[..., 0, :] = 0.0
+    eta = rng.standard_normal(shape[:-2] + (size,)) if nonzero_eta else np.zeros(size)
+    args = (eta, solver.e_dt, solver.main, solver.off, solver.grid.dt)
+    got = spde._mild_states(driver, *args)
+    want = oracles.mild_states_loop(driver, *args)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_zero_data_zero_solution(basis, grid):
     eta = DualElement(basis, np.zeros(basis.size))
     sol = mild_solution(zero_driver(grid, basis), eta.coeffs, grid)
