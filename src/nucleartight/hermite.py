@@ -26,6 +26,7 @@ share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -167,7 +168,11 @@ def _index_value(r) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hermite_modes(x: np.ndarray, count: int, gaussian: bool = True):
+# modes between renormalisations of the weighted recurrence's two buffers
+_RESCALE_EVERY = 64
+
+
+def _hermite_modes(x: np.ndarray, count: int, gaussian: bool = True, weight=None, plain: int = 0):
     """Yield ``h_0(x), ..., h_{count-1}(x)`` one mode at a time by the recurrence
 
         h_k(x) = (x sqrt(2/k)) h_{k-1}(x) - sqrt((k-1)/k) h_{k-2}(x),
@@ -176,19 +181,71 @@ def _hermite_modes(x: np.ndarray, count: int, gaussian: bool = True):
     Mode ``k`` overwrites mode ``k - 2`` in one of two buffers, so a yielded
     mode is valid until the next step.  ``gaussian=False`` leaves out the
     Gaussian factor, giving the orthonormalized polynomials ``p_k = h_k exp(x^2/2)``.
+
+    With a ``weight`` (broadcasting to ``x``), modes ``k < plain`` are still
+    ``h_k``, and every mode ``k >= plain`` is yielded as ``w_k`` with
+    ``h_k(x) weight = f_k w_k`` for the factors ``f`` of :func:`_mode_factors`.
+    Writing ``h_k = c_k q_k`` with ``c_k = prod_{j <= k} sqrt(2/j)`` gives
+
+        q_k = x q_{k-1} - (k-1)/2 q_{k-2},
+
+    three array passes instead of four; being linear, it runs on
+    ``q_k weight`` as well, seeded from ``h_0 weight`` (or, past ``plain``
+    unweighted modes, from the two live buffers).  ``c_k`` falls below the
+    floating-point range from ``k`` near 335, so every ``_RESCALE_EVERY``
+    modes both buffers are scaled by a power of two that the factors carry;
+    such a scaling is exact, so ``f_k w_k`` has the same bits at every
+    ``count``.
     """
     x = np.asarray(x, dtype=float, order="C")  # strided input defeats loop fusion
     bufs, tmp = np.zeros((2,) + x.shape), np.empty(x.shape)  # bufs[1] holds h_{-1} = 0
+    scaled = weight is not None
+    if scaled:
+        weight = np.asarray(weight, dtype=float)  # read once or twice: no copy
+        shifts = _mode_factors(count, plain)[1]
     for k in range(count):
-        h = bufs[k % 2, ...]  # a view, also for 0-d x
+        h, prev = bufs[k % 2, ...], bufs[1 - k % 2, ...]  # views, also for 0-d x
         if k == 0:
             h[...] = np.pi ** -0.25 * (np.exp(-0.5 * x * x) if gaussian else 1.0)
-        else:
+            if scaled and plain == 0:
+                h *= weight
+        elif not scaled or k < plain:
             np.multiply(x, np.sqrt(2.0 / k), out=tmp)
-            tmp *= bufs[1 - k % 2, ...]
+            tmp *= prev
             h *= np.sqrt((k - 1) / k)
             np.subtract(tmp, h, out=h)
+        else:
+            if k == plain:  # f_{k-1} = 1: w_{k-1} = h_{k-1} weight
+                prev *= weight
+                if k >= 2:
+                    h *= weight
+                    h *= np.sqrt(2.0 / (k - 1))
+            np.multiply(x, prev, out=tmp)
+            h *= (k - 1) / 2.0
+            np.subtract(tmp, h, out=h)
+            if k in shifts:
+                bufs *= shifts[k]
         yield h
+
+
+@lru_cache(maxsize=64)
+def _mode_factors(count: int, plain: int) -> tuple[np.ndarray, dict]:
+    """The factors ``f`` of the weighted modes of :func:`_hermite_modes`.
+
+    ``f_k = prod_{max(plain, 1) <= j <= k} sqrt(2/j)`` for ``plain <= k <
+    count`` (``f_k = 1`` below ``plain``), kept in range: at every mode ``k``
+    that is a multiple of ``_RESCALE_EVERY`` the binary exponent ``e`` of
+    ``f_k`` moves into the buffers.  Returns ``(f, shifts)``, ``f`` read-only
+    and ``shifts`` mapping such a ``k`` to the exact factor ``2^e``.
+    """
+    f, shifts, c = np.ones(count), {}, 1.0
+    for k in range(max(plain, 1), count):
+        c *= np.sqrt(2.0 / k)
+        if k % _RESCALE_EVERY == 0:
+            c, e = math.frexp(c)
+            shifts[k] = math.ldexp(1.0, e)
+        f[k] = c
+    return _as_readonly(f), shifts
 
 
 def _hermite_modes_first(x: np.ndarray, count: int, gaussian: bool = True) -> np.ndarray:

@@ -43,6 +43,7 @@ from .hermite import (
     _gh_rule,
     _hermite_modes,
     _hermite_modes_first,
+    _mode_factors,
     _span,
 )
 from .paths import TimeGrid, containment_summary, dual_path_stats
@@ -218,6 +219,18 @@ def concatenate_blocks(results) -> tuple:
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*results))
 
 
+def _time_blocks(steps: int, width: int):
+    """``(a, b)`` bounds of consecutive time blocks of ``max(2, width)`` steps,
+    a trailing one-step block merged into the block before it.  Only ``steps
+    = 1`` gives a block one step wide: a particle sum over such a block would
+    be reduced pairwise instead of in sequence, and its bits would depend on
+    the blocks."""
+    starts = list(range(0, steps, max(2, width)))
+    if len(starts) > 1 and steps - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [steps])
+
+
 def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0):
     """Coordinate paths ``M_t(h_k)`` for all ``k < basis.size`` at once.
 
@@ -229,6 +242,14 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0
     Returns ``(states, modes)``: states of shape ``(..., steps + 1, size)``
     and the first ``keep`` Hermite modes at the left points,
     ``(keep, ..., count, steps)``.
+
+    Modes ``k >= keep`` come from the weighted recurrence of
+    :func:`~nucleartight.hermite._hermite_modes`, run on ``h_k(B) dB`` itself,
+    so a mode's particle sum is a plain ``sum`` and its factor ``f_k`` is
+    applied once per time block; the kept modes run the unweighted
+    recurrence, so ``phi'`` taken from them has the bits of its own
+    recurrence.  The sum adds the particles in sequence, because no time
+    block is one step wide (see :func:`_time_blocks`).
     """
     n_modes = basis.size
     left = particles.positions()[..., :-1]
@@ -237,18 +258,21 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0
     root_n = np.sqrt(particles.count)
     modes = np.empty((keep,) + left.shape)
     dmn = np.empty(batch + (steps, n_modes))
-    ladder = np.sqrt(np.arange(1, n_modes) / 2.0).reshape((-1,) + (1,) * (len(batch) + 1))
-    block = max(1, _DRIVER_VALUES // (math.prod(batch) * particles.count))
-    for a in range(0, steps, block):
-        b = min(a + block, steps)
+    axes = (1,) * (len(batch) + 1)
+    ladder = np.sqrt(np.arange(1, n_modes) / 2.0).reshape((-1,) + axes)
+    factors = _mode_factors(n_modes, keep)[0].reshape((-1,) + axes)
+    for a, b in _time_blocks(steps, _DRIVER_VALUES // (math.prod(batch) * particles.count)):
         # contract particles mode by mode as the recurrence yields them,
         # s[k, ..., j] = sum_i h_k(B^i_j) dB^i_j, then apply the derivative ladder
         # h'_k = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1} (truncated at the top)
         s = np.empty((n_modes,) + batch + (b - a,))
-        for k, h in enumerate(_hermite_modes(left[..., a:b], n_modes)):
-            np.einsum("...ij,...ij->...j", h, inc[..., a:b], out=s[k])
+        dB = inc[..., a:b]
+        for k, h in enumerate(_hermite_modes(left[..., a:b], n_modes, weight=dB, plain=keep)):
             if k < keep:
                 modes[k, ..., a:b] = h
+                h = h * dB
+            h.sum(axis=-2, out=s[k])
+        s *= factors
         contrib = np.zeros(s.shape)
         contrib[1:] = ladder * s[:-1]
         contrib[: n_modes - 1] -= ladder * s[1:]

