@@ -373,27 +373,121 @@ def laplacian_op(basis: BasisSpec) -> np.ndarray:
 def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
     """Heat semigroup ``E(t) = exp(t L)`` on coefficients (read-only).
 
-    Computed by scaling-and-squaring matrix exponential of the banded
-    truncated Laplacian, so the semigroup law holds to rounding error.  At
-    huge times (``1e50`` at ``N = 8``) the squaring overflows, and a
-    non-finite result raises ``ValueError``.  Cached: a config check and the
-    solver it admits ask for the same step.
-
-    ``scipy.linalg`` is imported here, on the first call, not with the
-    module: the commands that step the semigroup (heat, tightness,
-    basis-check) load it while ``materialize`` checks their config, and clt
-    never does.
+    Computed by the scaling-and-squaring Pade algorithm of Al-Mohy and
+    Higham (2009), the one ``scipy.linalg.expm`` implements (see
+    :func:`_expm`), so the semigroup law holds to rounding error.  At huge
+    times (``5e38`` at ``N = 8``) the powers of ``t L`` that choose the
+    scaling overflow, and a non-finite result raises ``ValueError``.
+    Cached: a config check and the solver it admits ask for the same step.
     """
     if t < 0:
         raise ValueError("time must be >= 0")
     if t == 0.0:
         return _as_readonly(np.eye(basis.size))
-    from scipy.linalg import expm
-
-    e = expm(t * laplacian_op(basis))
+    e = _expm(t * laplacian_op(basis))
     if not np.all(np.isfinite(e)):
         raise ValueError(f"heat semigroup at time {t!r} is not finite")
     return _as_readonly(e)
+
+
+# Pade coefficients b_0, ..., b_m of exp for each degree m of the 2009
+# algorithm; theta_m, the largest 1-norm at which degree m reaches double
+# precision; and 1 / |c_{2m+1}|, the leading coefficient of its backward error
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068e0, 13: 4.25}
+_ERROR_DENOM = {3: 100800.0, 5: 10059033600.0, 7: 4487938430976000.0,
+                9: 5914384781877411840000.0, 13: 113250775606021113483283660800000000.0}
+
+
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _ell(a: np.ndarray, m: int) -> int:
+    """Squarings to add so that degree ``m`` on ``a`` stays within unit
+    roundoff: ``ell(A, m)`` of Al-Mohy and Higham, from the exact 1-norm of
+    ``|A|^(2m+1)``."""
+    abs_a, v = np.abs(a), np.ones(a.shape[0])
+    for _ in range(2 * m + 1):
+        v = v @ abs_a
+    norm = v.max()
+    if not norm:
+        return 0
+    alpha = norm / (_norm1(a) * _ERROR_DENOM[m])
+    return max(math.ceil(math.log2(alpha / 2.0**-53) / (2 * m)), 0)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` by the algorithm of Al-Mohy and Higham, "A new scaling and
+    squaring algorithm for the matrix exponential" (SIAM J. Matrix Anal.
+    Appl. 31(3), 2009), with the degree and scaling ``scipy.linalg.expm``
+    picks for ``N < 400``.
+
+    The degree ``m`` and the scaling ``s`` come from exact 1-norms of the
+    powers ``A^2, A^4, A^6, A^8`` and ``A^10`` of the unscaled matrix, so at
+    huge ``a`` those norms overflow before any squaring does, and the result
+    is then ``inf``.  The Pade approximant ``r_m(A / 2^s) = I + 2 (V - U)^-1 U``
+    is squared ``s`` times.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        d4, d6 = _norm1(a4) ** 0.25, _norm1(a6) ** (1 / 6)
+        powers, s, eta = (a2, a4, a6), 0, max(d4, d6)
+        for m in (3, 5, 7, 9):
+            if m == 7:
+                a8 = a4 @ a4
+                d8 = _norm1(a8) ** 0.125
+                powers, eta = (a2, a4, a6, a8), max(d6, d8)
+            if eta <= _THETA[m] and _ell(a, m) == 0:
+                break
+        else:
+            m = 13
+            eta = min(eta, max(d8, _norm1(a4 @ a6) ** 0.1))
+            if not math.isfinite(eta):
+                return np.full_like(a, np.inf)
+            if eta > 0:
+                s = max(math.ceil(math.log2(eta / _THETA[13])), 0)
+            s += _ell(a * 2.0**-s, 13)
+            c = 2.0**-s
+            a, powers = a * c, (a2 * c**2, a4 * c**4, a6 * c**6)
+        u, v = _pade_uv(a, powers, m)
+        r = np.linalg.solve(v - u, u)
+        r *= 2.0
+        r.flat[:: r.shape[0] + 1] += 1.0
+        for _ in range(s):
+            r = r @ r
+    return r
+
+
+def _pade_uv(a: np.ndarray, evens, m: int):
+    """Odd and even parts ``U`` and ``V`` of the degree-``m`` Pade numerator
+    of ``exp(a)``, from the even powers ``evens = (A^2, A^4, ...)``."""
+    b = _PADE[m]
+    if m == 13:
+        a2, a4, a6 = evens
+        w = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
+    else:
+        top = (m - 1) // 2
+        w, v = b[m] * evens[top - 1], b[m - 1] * evens[top - 1]
+        for k in range(top - 2, -1, -1):
+            w = w + b[2 * k + 3] * evens[k]
+            v = v + b[2 * k + 2] * evens[k]
+    w.flat[:: w.shape[0] + 1] += b[1]
+    v.flat[:: v.shape[0] + 1] += b[0]
+    return a @ w, v
 
 
 def heat_flow_ground_state(t: float, x) -> np.ndarray:

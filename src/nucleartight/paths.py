@@ -37,6 +37,8 @@ __all__ = [
     "sup_dual_norm",
     "dual_path_stats",
     "containment_summary",
+    "quantile",
+    "median",
     "write_array_csv",
 ]
 
@@ -217,7 +219,7 @@ def _pruned_best(x: np.ndarray, sq: np.ndarray, lags) -> np.ndarray | None:
     slack = 32.0 * (width + 4) * (_EPS * peak + _TINY)
     approx = _gram_bound(x, sq, top)
     running = np.maximum.accumulate(approx.max(axis=0))
-    wanted = np.unique([lag for lag in lags if lag > 0])
+    wanted = np.array(sorted({lag for lag in lags if lag > 0}))
     # a pair at lag k + 1 counts for the smallest requested lag >= k + 1,
     # whose threshold is the lowest among the lags it belongs to
     thresholds = (running[wanted - 1] - slack)[np.searchsorted(wanted, np.arange(1, top + 1))]
@@ -272,7 +274,7 @@ def containment_summary(
         f"{c!r}": float(np.mean(sup_norms > c)) for c in c_levels
     }
     mod_quant = {
-        f"{q!r}": [float(v) for v in np.quantile(modulus_table, q, axis=0)]
+        f"{q!r}": [float(v) for v in quantile(modulus_table, q)]
         for q in quantiles
     }
     return {
@@ -282,9 +284,36 @@ def containment_summary(
         "delta_grid": delta_grid,
         "modulus_quantiles": mod_quant,
         "sup_norm_quantiles": {
-            f"{q!r}": float(np.quantile(sup_norms, q)) for q in quantiles
+            f"{q!r}": float(quantile(sup_norms, q)) for q in quantiles
         },
     }
+
+
+def quantile(values, q: float) -> np.ndarray:
+    """``np.quantile(values, q, axis=0)`` with its default linear method,
+    bit for bit, for finite values.
+
+    numpy's own routine imports ``numpy.ma`` on its first call (through
+    ``np.unique``); sorting and interpolating here keeps that module out
+    of a run.  The virtual index ``(n - 1) q`` falls between the sorted
+    values ``lo`` and ``hi``, and ``lo + (hi - lo) g`` is computed as
+    ``hi - (hi - lo) (1 - g)`` when the fraction ``g >= 1/2``, as numpy's
+    ``_lerp`` does.
+    """
+    s = np.sort(np.asarray(values, dtype=float), axis=0)
+    index = (s.shape[0] - 1) * q
+    i = int(index)
+    lo, hi = s[i], s[min(i + 1, s.shape[0] - 1)]
+    g = index - i
+    return hi - (hi - lo) * (1 - g) if g >= 0.5 else lo + (hi - lo) * g
+
+
+def median(values) -> np.ndarray:
+    """``np.median(values, axis=0)`` bit for bit, without ``numpy.ma``:
+    the middle sorted value, or the mean ``(a + b) / 2`` of the middle two."""
+    s = np.sort(np.asarray(values, dtype=float), axis=0)
+    mid = s.shape[0] // 2
+    return s[mid] if s.shape[0] % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .martingales import (
     parallel_map,
     run_blocks,
 )
-from .paths import TimeGrid, _dual_states, containment_summary, dual_path_stats
+from .paths import TimeGrid, _dual_states, containment_summary, dual_path_stats, median, quantile
 from .rng import stream
 
 __all__ = [
@@ -470,7 +470,7 @@ def tightness_report(cfg: dict, *, threads: int = 1):
     cfg = materialize("tightness", cfg)
     basis, grid = _basis_from(cfg), _grid_from(cfg)
     n_list, reps, seed = cfg["n_list"], cfg["reps"], cfg["seed"]
-    quantile, gate_ratio = float(cfg["quantile"]), float(cfg["gate_ratio"])
+    level, gate_ratio = float(cfg["quantile"]), float(cfg["gate_ratio"])
     tightness_index, levels, deltas = _tightness_from(cfg)
     solver = _HeatSolver(basis, grid, seed, cfg["eta"])
     weights = SeminormIndex(tightness_index).dual_weights(basis.size)
@@ -489,13 +489,13 @@ def tightness_report(cfg: dict, *, threads: int = 1):
         blocks = {}
         for name, i in (("driver", 0), ("solution", 1)):
             blocks[name] = containment_summary(sups[:, i], mods[:, i], levels, deltas)
-            blocks[name]["sup_quantile"] = float(np.quantile(sups[:, i], quantile))
-            blocks[name]["end_norm_median"] = float(np.median(ends[:, i]))
+            blocks[name]["sup_quantile"] = float(quantile(sups[:, i], level))
+            blocks[name]["end_norm_median"] = float(median(ends[:, i]))
         driver_q[n] = blocks["driver"]["sup_quantile"]
         cells.append(
             {
                 "n": n,
-                "quantile": quantile,
+                "quantile": level,
                 "driver": blocks["driver"],
                 "solution": blocks["solution"],
             }
@@ -505,7 +505,7 @@ def tightness_report(cfg: dict, *, threads: int = 1):
     ratio = float(q_values.max() / q_values.min()) if q_values.min() > 0 else float("inf")
     extras = {
         "gate": {
-            "quantile": quantile,
+            "quantile": level,
             "ratio": ratio,
             "limit": gate_ratio,
             "pass": bool(ratio <= gate_ratio),

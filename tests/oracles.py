@@ -119,6 +119,14 @@ def dual_path_stats_dense(states, grid, deltas, r):
     return sup, np.sqrt(best[..., lags])
 
 
+def expm_reference(a):
+    """``scipy.linalg.expm(a)``: the matrix exponential ``hermite.heat_matrix``
+    ports to numpy, which differs from it only in the final linear solve."""
+    from scipy.linalg import expm
+
+    return expm(a)
+
+
 def energy_distance_with_se_cdist(x, y):
     """``diagnostics.energy_distance_with_se`` as ``scipy.spatial.distance.cdist``
     calls: three full matrices for the value, three more per chunk pair of

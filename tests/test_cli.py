@@ -21,24 +21,24 @@ from nucleartight.spde import heat_convergence_report, tightness_report
 # leave these bytes alone
 GOLDEN_HASHES = {
     "clt-smoke": "5e70edb449fc0d42da18a4aafea4e3d1e08158bb433e0b338267ab273832fd3e",
-    "heat-smoke": "f3b73ec1647c10fea83c85b25c36a4bb3611fc4adffd2b63893db0a677dba2c6",
-    "tightness-smoke": "b033711a59a4097ad656677cc2caf95a0e0ade89486e44fbdc6a14def8b3069e",
-    "heat-gaussian": "4c8b35db39ee554a333124a5a4036554c136527388aed8304a816790eccc195f",
-    "heat-fixed": "e8b823475b4be2d9067d4d67801d6c72709be248439ee55db9f54338bb8795f0",
-    "tightness-gaussian": "469257111d68865ddd0db31ef516e53d22d3d652888f9bf4fb2f772e23ea9268",
+    "heat-smoke": "086d9e6b3ba5a871829f0eb814b834cfe3cd054ec8a02a5e8b9096a6b8f69367",
+    "tightness-smoke": "2c40c84cc753be75aa80241c2457e43d81a2e042b4fee6f374a3844b16d45fcd",
+    "heat-gaussian": "590ac9f50c7123002c24fca64d282b715986b7c5ea8e221a1f8fa0bc45236d84",
+    "heat-fixed": "5b1a1af517654553ecf111a5542f68fa84abfcfea390222c81aa40e3541c7871",
+    "tightness-gaussian": "3c7ceae057daac5d4e9949a6433bacbd2ac34ef5a82082445f94183e92cde53e",
     "clt-edge": "644e09d30311a0855f2635ddc9de295cf75ec94504dc04915ec5b439d9439c13",
 }
 
 # sha256 of the heat-smoke ``--dump-paths`` files
 DUMP_HASHES = {
-    "heat-5-dual.csv": "1a129f06afa2ea9f8d93e91ac88f45a11118420894bed8f77f5b7a9e41ecb8c8",
-    "heat-limit-dual.csv": "661845771d09f2f69530321ed88bc90a594a341b147b1766635f3ce2ac13208c",
+    "heat-5-dual.csv": "cc06ad4887bf802960cc2badcf9e9b08644018253625c9650fc78845f1f0525f",
+    "heat-limit-dual.csv": "89126db724222970b51c65ea3510ccc284f9e923cabd5c3ca7b95f1f78349fec",
 }
 
 # sha256 of the basis-default ``--dump-paths`` operator matrices
 MATRIX_DUMP_HASHES = {
     "derivative.csv": "8280c9337699668aaa6d9daa31ed7de2e9f52a0f48cce9b63529bb4a505c097f",
-    "heat.csv": "ac1880977fc3988c6ad0631f542628f0ed8a53003bb64de7b95d7987b4538801",
+    "heat.csv": "cccd246bcf906c02513c07ef3f9b709721fa1c52aefa455e0d743b511f44e4ac",
     "laplacian.csv": "f1068fb8f828864197dc1399cf4d198eee0288c016b0a2a54975e351d29ea84d",
 }
 
@@ -507,24 +507,35 @@ def test_huge_finite_inputs_are_numerical_integrity_failures(tmp_path, capsys, c
     assert f"numerical-integrity failure: {quantity}" in err and "Traceback" not in err
 
 
-# a fresh interpreter: which scipy modules the package, clt and set-up load
+# a fresh interpreter: the heavy modules each stage of a run has loaded
 _IMPORT_PROBE = """
 import json, sys
 from nucleartight import cli
 from nucleartight.martingales import clt_report
+from nucleartight.spde import heat_convergence_report, tightness_report
 
-heavy = ("scipy.linalg", "scipy.special", "scipy.spatial")
-seen = {"import": sorted(m for m in heavy if m in sys.modules)}
+heavy = ("scipy.linalg", "scipy.special", "scipy.spatial", "numpy.ma")
+seen = {}
+def mark(stage):
+    seen[stage] = sorted(m for m in heavy if m in sys.modules)
+mark("import")
 cfg = {"basis": {"N": 8, "Q": 16}, "grid": {"T": 1.0, "J": 10}, "n_list": [3], "reps": 4, "seed": 1}
 clt_report(cfg)
-seen["clt"] = sorted(m for m in heavy if m in sys.modules)
-cli.materialize("heat", {**cfg, "limit_modes": 8})
-seen["heat-setup"] = sorted(m for m in heavy if m in sys.modules)
+mark("clt")
+heat = {**cfg, "limit_modes": 8, "calibration": {"reps": 1, "size": 2, "steps": 2}}
+cli.materialize("heat", heat)
+cli.materialize("tightness", cfg)
+cli.materialize("basis-check", cli.load_config("basis-minimal"))
+mark("setup")
+heat_convergence_report(heat)
+mark("heat")
+tightness_report(cfg)
+mark("tightness")
 print(json.dumps(seen))
 """
 
 
-def test_clt_loads_no_scipy_submodule_and_heat_loads_linalg_in_setup():
+def test_no_command_loads_scipy_submodules_or_numpy_ma():
     import nucleartight
 
     src = str(Path(nucleartight.__file__).resolve().parents[1])
@@ -537,7 +548,7 @@ def test_clt_loads_no_scipy_submodule_and_heat_loads_linalg_in_setup():
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    assert seen == {"import": [], "clt": [], "heat-setup": ["scipy.linalg"]}
+    assert seen == {stage: [] for stage in ("import", "clt", "setup", "heat", "tightness")}
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,9 @@ from nucleartight.paths import (
     TimeGrid,
     containment_summary,
     dual_path_stats,
+    median,
     modulus_dual,
+    quantile,
     sup_dual_norm,
     write_array_csv,
 )
@@ -302,6 +304,23 @@ def test_containment_rejects_empty(basis16):
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError, match="empty ensemble"):
         containment(np.zeros((0, 11, basis16.size)), grid, 1.0, [1.0], [0.1])
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "wide"])
+def test_order_statistics_equal_numpy(kind):
+    rng = np.random.default_rng(["normal", "ties", "wide"].index(kind))
+    for n in range(1, 81):
+        for shape in ((n,), (n, 3)):
+            if kind == "normal":
+                x = rng.standard_normal(shape)
+            elif kind == "ties":
+                x = rng.integers(0, 4, shape) * 0.1
+            else:
+                x = np.exp(5.0 * rng.standard_normal(shape))
+            for q in (0.5, 0.9, 0.99, 0.975, float(rng.uniform())):
+                got, want = quantile(x, q), np.quantile(x, q, axis=0)
+                assert np.shape(got) == np.shape(want) and np.array_equal(got, want), (n, shape, q)
+            assert np.array_equal(median(x), np.median(x, axis=0)), (n, shape)
 
 
 # ---------------------------------------------------------------------------
