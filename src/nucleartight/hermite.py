@@ -248,9 +248,11 @@ def _mode_factors(count: int, plain: int) -> tuple[np.ndarray, dict]:
     return _as_readonly(f), shifts
 
 
-def _hermite_modes_first(x: np.ndarray, count: int, gaussian: bool = True) -> np.ndarray:
-    """All modes of :func:`_hermite_modes` in one ``(count,) + x.shape`` array."""
-    out = np.empty((count,) + np.shape(x))
+def _hermite_modes_first(x: np.ndarray, count: int, gaussian: bool = True, out=None) -> np.ndarray:
+    """All modes of :func:`_hermite_modes` in one ``(count,) + x.shape`` array,
+    written into ``out`` when one is given."""
+    if out is None:
+        out = np.empty((count,) + np.shape(x))
     for k, h in enumerate(_hermite_modes(x, count, gaussian)):
         out[k] = h
     return out

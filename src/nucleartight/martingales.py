@@ -288,7 +288,7 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0
 # ---------------------------------------------------------------------------
 
 
-_GRAM_VALUES = 250_000  # Hermite values per chunk of QuadraticForm._gram_sums (2 MB)
+_GRAM_VALUES = 62_500  # Hermite values per chunk of QuadraticForm._gram_sums (0.5 MB)
 # Gauss-Legendre rules: composite over [0, t] for C(t), one rule per grid step
 # for the increments
 _PANELS_PER_UNIT, _GL_POINTS, _STEP_GL_POINTS = 8, 16, 4
@@ -317,8 +317,11 @@ class QuadraticForm:
         E[phi'(Z_s) psi'(Z_s)] = (pi (2s+1))^(-1/2) sum_q w_q P(x_q / sqrt(a)),
         a = (2s+1) / (2s),
 
-    which is exact for the rule order in use.  The outer time integral uses
-    composite Gauss-Legendre with cached nodes, all interior (``s > 0``).
+    which is exact for the rule order in use; ``P`` needs the Hermite modes
+    only up to the span of the derivative coefficients.  The outer time
+    integral uses Gauss-Legendre nodes, all interior (``s > 0``): a cached
+    composite rule over ``[0, t]`` for ``C(t)``, one rule per grid step for
+    the increments.
     """
 
     def __init__(self, basis: BasisSpec):
@@ -328,34 +331,42 @@ class QuadraticForm:
         """Weighted Gram sums ``out[r] = sum_k w[k] G(s[r, k])``, shape ``(R, m, m)``.
 
         ``G(s)`` is the matrix ``E[phi_a'(Z_s) phi_b'(Z_s)]`` for derivative
-        coeffs ``dmat`` (``N x m``) at a time ``s > 0``.  Nodes go in chunks of
-        about ``_GRAM_VALUES`` Hermite values and are added in ``k`` order from
-        zero, so every float equals a one-node-at-a-time loop.  No
-        ``(R, K, m, m)`` array is built: freeing one lifts the allocator's mmap
-        threshold, and with it the peak memory of the thread pools that follow.
-
-        The recurrence stops at the last nonzero row of ``dmat``; the modes
-        past it stay zero in a buffer of all ``N`` columns, so the product
-        keeps its inner dimension and its bits.
+        coeffs ``dmat`` (``N x m``) at a time ``s > 0``.  Only the span
+        ``top`` of ``dmat`` (up to its last nonzero row) is computed: the
+        recurrence runs ``top`` modes and the product with ``dmat[:top]`` has
+        inner dimension ``top``.  For some widths that rounds differently
+        from a product over all ``N`` modes (by 5.1e-16 of the largest entry
+        at most, measured); ``limit_modes = 16`` at ``N = 64`` keeps its bits.
+        Nodes go in chunks of about ``_GRAM_VALUES`` values of ``top`` modes,
+        through buffers allocated once per call, and are added in ``k``
+        order from zero, so every float equals a one-node-at-a-time loop.
+        No ``(R, K, m, m)`` array is built: freeing one lifts the allocator's
+        mmap threshold, and with it the peak memory of the thread pools that
+        follow.
         """
         x, wq, _ = _gh_rule(self.basis.quad_order)
-        (rows, cols), n_modes = s.shape, self.basis.size
+        (rows, cols), m = s.shape, dmat.shape[1]
         top = _span(np.any(dmat, axis=1))
-        nodes = max(1, _GRAM_VALUES // (x.size * n_modes))
+        d = dmat[:top]
+        nodes = max(1, _GRAM_VALUES // (x.size * max(top, 1)))
         row_step, col_step = max(1, nodes // cols), min(cols, nodes)
-        out = np.zeros((rows, dmat.shape[1], dmat.shape[1]))
-        buf = np.zeros((min(row_step, rows) * col_step * x.size, n_modes))
+        values = min(row_step, rows) * col_step * x.size  # per mode, in the largest chunk
+        modes = np.empty((top, values))
+        v, vw = np.empty((2, values, m))
+        g = np.empty((values // x.size, m, m))
+        out = np.zeros((rows, m, m))
         for r in range(0, rows, row_step):
             for k in range(0, cols, col_step):
                 t = s[r : r + row_step, k : k + col_step, None]
                 arg = x * np.sqrt(2.0 * t / (2.0 * t + 1.0))
-                p = buf[: arg.size]
-                p[:, :top] = _hermite_modes_first(arg, top, gaussian=False).reshape(top, arg.size).T
-                v = p.reshape(arg.shape + (n_modes,)) @ dmat
-                g = np.matmul((v * wq[:, None]).swapaxes(-1, -2), v)
-                g /= np.sqrt(np.pi * (2.0 * t[..., None] + 1.0))
+                n = arg.size
+                p = _hermite_modes_first(arg.reshape(-1), top, gaussian=False, out=modes[:, :n])
+                vk = np.matmul(p.T, d, out=v[:n]).reshape(arg.shape + (m,))
+                vwk = np.multiply(vk, wq[:, None], out=vw[:n].reshape(vk.shape))
+                gk = np.matmul(vwk.swapaxes(-1, -2), vk, out=g[: n // x.size].reshape(t.shape[:2] + (m, m)))
+                gk /= np.sqrt(np.pi * (2.0 * t[..., None] + 1.0))
                 for i, wi in enumerate(w[k : k + col_step]):
-                    out[r : r + row_step] += wi * g[:, i]
+                    out[r : r + row_step] += wi * gk[:, i]
         return out
 
     def _dmat(self, phis) -> np.ndarray:

@@ -25,6 +25,7 @@ stay candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -329,7 +330,11 @@ def write_array_csv(array, path, index_names) -> None:
     a = np.asarray(array, dtype=float)
     if a.ndim != len(index_names):
         raise ValueError(f"array must have {len(index_names)} axes, one per index name")
+    keys = [""]  # "i,j,...," for every entry, in row-major order
+    for n in a.shape:
+        suffixes = [f"{i}," for i in range(n)]
+        keys = [k + s for k in keys for s in suffixes]
+    values = map(repr, a.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*index_names, "value"]) + "\n")
-        for index, v in np.ndenumerate(a):
-            fh.write(f"{','.join(map(str, index))},{float(v)!r}\n")
+        fh.write("".join(map("".join, zip(keys, values, repeat("\n")))))

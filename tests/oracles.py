@@ -151,22 +151,31 @@ def energy_distance_with_se_cdist(x, y):
     return value, float(np.std(vals, ddof=1) / np.sqrt(nb))
 
 
-def gram_at(basis, s, dmat):
+def gram_at(basis, s, dmat, full_width=False):
     """``E[phi_a'(Z_s) phi_b'(Z_s)]`` at one time ``s > 0``, one node at a time.
 
     This is the per-node loop body the batched kernel replaced.  It is a
     bit-for-bit reference, so it reuses the package's recurrence and
-    Gauss-Hermite rule instead of an independent quadrature.
+    Gauss-Hermite rule instead of an independent quadrature.  The modes are
+    contracted up to the last nonzero row of ``dmat`` (the span), as the
+    kernel does, from the mode-major array the recurrence fills;
+    ``full_width=True`` gives the kernel's earlier product, over all ``N``
+    modes of a point-major array, which rounds differently for some widths.
     """
-    from nucleartight.hermite import _gh_rule, hermite_polynomials
+    from nucleartight.hermite import _gh_rule, _hermite_modes_first, _span, hermite_polynomials
 
     x, w, _ = _gh_rule(basis.quad_order)
-    v = hermite_polynomials(x * np.sqrt(2.0 * s / (2.0 * s + 1.0)), basis.size) @ dmat
+    arg = x * np.sqrt(2.0 * s / (2.0 * s + 1.0))
+    if full_width:
+        v = hermite_polynomials(arg, basis.size) @ dmat
+    else:
+        top = _span(np.any(dmat, axis=1))
+        v = _hermite_modes_first(arg, top, gaussian=False).T @ dmat[:top]
     g = (v * w[:, None]).T @ v
     return g / np.sqrt(np.pi * (2.0 * s + 1.0))
 
 
-def increment_covariances_per_node(basis, grid, dmat):
+def increment_covariances_per_node(basis, grid, dmat, full_width=False):
     """Per-step covariance increments with one ``gram_at`` call per node."""
     x, w = np.polynomial.legendre.leggauss(4)
     m = dmat.shape[1]
@@ -176,7 +185,7 @@ def increment_covariances_per_node(basis, grid, dmat):
         mid = (j + 0.5) * grid.dt
         acc = np.zeros((m, m))
         for xi, wi in zip(x, w):
-            acc += wi * gram_at(basis, mid + half * xi, dmat)
+            acc += wi * gram_at(basis, mid + half * xi, dmat, full_width)
         out[j] = acc * half
     return out
 
@@ -396,3 +405,13 @@ def per_rep_drivers(monkeypatch, width=None):
         monkeypatch.setattr(module, "_mn_dual_states", driver)
         monkeypatch.setattr(module, "dual_path_stats", path_stats)
     monkeypatch.setattr(martingales, "_mn_qv_steps", qv_steps)
+
+
+def write_array_csv_per_value(array, path, index_names):
+    """The CSV writer ``paths.write_array_csv`` replaced: one formatted row
+    per ``np.ndenumerate`` entry."""
+    a = np.asarray(array, dtype=float)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([*index_names, "value"]) + "\n")
+        for index, v in np.ndenumerate(a):
+            fh.write(f"{','.join(map(str, index))},{float(v)!r}\n")

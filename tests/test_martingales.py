@@ -167,18 +167,34 @@ def _case_dmat(form, case):
     return form._dmat(_short_span_phis(form.basis, case))
 
 
-def _chunk_nodes(monkeypatch, basis, nodes):
-    """Make the Gram kernel evaluate ``nodes`` quadrature nodes per chunk."""
+def _chunk_nodes(monkeypatch, basis, dmat, nodes):
+    """Make the Gram kernel evaluate ``nodes`` quadrature nodes per chunk of
+    ``dmat``'s span (``None``: its own budget); returns the list that each
+    chunk's node count is appended to."""
     if nodes is not None:
-        monkeypatch.setattr(martingales, "_GRAM_VALUES", nodes * basis.quad_order * basis.size)
+        span = max(martingales._span(np.any(dmat, axis=1)), 1)
+        monkeypatch.setattr(martingales, "_GRAM_VALUES", nodes * basis.quad_order * span)
+    chunks, modes_first = [], martingales._hermite_modes_first
+
+    def spy(x, count, gaussian=True, out=None):
+        chunks.append(np.size(x) // basis.quad_order)
+        return modes_first(x, count, gaussian, out)
+
+    monkeypatch.setattr(martingales, "_hermite_modes_first", spy)
+    return chunks
 
 
-# with BasisSpec(16, 32) the kernel's own chunk is 250_000 // 512 = 488 nodes,
-# 122 steps of 4 Gauss-Legendre nodes each
 @pytest.mark.parametrize("modes", [1, 3, 16, *SHORT_SPANS])
 @pytest.mark.parametrize(
-    "steps, nodes",
-    [(1, None), (1, 9), (300, None), (300, 976), (7, 9), (6, 3)],
+    "steps, nodes, split",
+    [
+        (1, None, [4]),
+        (1, 9, [4]),
+        (300, 488, [488, 488, 224]),
+        (300, 976, [976, 224]),
+        (7, 9, [8, 8, 8, 4]),
+        (6, 3, [3, 1] * 6),
+    ],
     ids=[
         "J1",
         "J1-gl2",  # one step in a chunk of two steps' Gauss-Legendre nodes
@@ -188,12 +204,13 @@ def _chunk_nodes(monkeypatch, basis, nodes):
         "last-chunk-one-node",  # each step's 4 nodes go as 3 + 1
     ],
 )
-def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, steps, nodes):
-    _chunk_nodes(monkeypatch, basis, nodes)
+def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, steps, nodes, split):
     form = QuadraticForm(basis)
     dmat = _case_dmat(form, modes)
+    chunks = _chunk_nodes(monkeypatch, basis, dmat, nodes)
     grid = TimeGrid(1.0, steps)
     got = form.increment_covariances(grid, dmat)
+    assert chunks == split
     want = oracles.increment_covariances_per_node(basis, grid, dmat)
     assert got.shape == (steps, dmat.shape[1], dmat.shape[1])
     assert np.array_equal(got, want)
@@ -201,36 +218,89 @@ def test_increment_covariances_match_per_node_loop(basis, monkeypatch, modes, st
 
 @pytest.mark.parametrize("modes", [1, 3, 16, *SHORT_SPANS])
 @pytest.mark.parametrize(
-    "t, nodes",
-    [(0.1, 5), (1.0, 5), (1.0, None), (6.2, None)],
-    # 1 panel x 16 points = 5 + 5 + 5 + 1 nodes; 50 panels x 16 points = 488 + 312
+    "t, nodes, split",
+    # 1 panel x 16 points = 5 + 5 + 5 + 1 nodes; 8 panels x 16 points =
+    # 25 x 5 + 3 nodes; 50 panels x 16 points = 488 + 312
+    [(0.1, 5, [5, 5, 5, 1]), (1.0, 5, [5] * 25 + [3]), (1.0, 128, [128]), (6.2, 488, [488, 312])],
     ids=["last-chunk-one-node", "5-node-chunks", "one-chunk", "488-node-chunks"],
 )
-def test_covariance_matrix_matches_per_node_loop(basis, monkeypatch, modes, t, nodes):
-    _chunk_nodes(monkeypatch, basis, nodes)
+def test_covariance_matrix_matches_per_node_loop(basis, monkeypatch, modes, t, nodes, split):
     if isinstance(modes, int):
         rng = np.random.default_rng(modes)
         phis = [TestFunction(basis, rng.standard_normal(basis.size)) for _ in range(modes)]
     else:
         phis = _short_span_phis(basis, modes)
     form = QuadraticForm(basis)
-    want = oracles.covariance_matrix_per_node(basis, t, form._dmat(phis))
-    assert np.array_equal(form.covariance_matrix(t, phis), want)
+    dmat = form._dmat(phis)
+    chunks = _chunk_nodes(monkeypatch, basis, dmat, nodes)
+    got = form.covariance_matrix(t, phis)
+    assert chunks == split
+    assert np.array_equal(got, oracles.covariance_matrix_per_node(basis, t, dmat))
+
+
+@pytest.mark.parametrize("modes", [3, "heat-4", "zero"])
+def test_gram_sums_do_not_depend_on_the_chunks(basis, monkeypatch, modes):
+    form = QuadraticForm(basis)
+    dmat = _case_dmat(form, modes)
+    grid = TimeGrid(1.0, 300)
+    got = {}
+    for nodes in (1, 3, None):
+        _chunk_nodes(monkeypatch, basis, dmat, nodes)
+        got[nodes] = form.increment_covariances(grid, dmat)
+        monkeypatch.undo()
+    assert np.array_equal(got[1], got[3]) and np.array_equal(got[1], got[None])
 
 
 @pytest.mark.parametrize("case, span", [("heat-3", 4), ("clt-2", 4), ("zero", 0), (3, 16)])
 def test_gram_recurrence_stops_at_the_span(basis, monkeypatch, case, span):
     counts = []
 
-    def modes_first(x, count, gaussian=True):
+    def modes_first(x, count, gaussian=True, out=None):
         counts.append(count)
-        return hermite_modes_first(x, count, gaussian)
+        return hermite_modes_first(x, count, gaussian, out)
 
     hermite_modes_first = martingales._hermite_modes_first
     monkeypatch.setattr(martingales, "_hermite_modes_first", modes_first)
     form = QuadraticForm(basis)
-    form.increment_covariances(TimeGrid(1.0, 30), _case_dmat(form, case))
+    got = form.increment_covariances(TimeGrid(1.0, 30), _case_dmat(form, case))
     assert counts and set(counts) == {span}
+    assert np.isfinite(got).all() and (span > 0 or not got.any())
+
+
+# largest difference of the span-wide Gram product from the full-width one,
+# relative to the largest entry: measured 4.8e-16 over the shapes below and at
+# most 5.1e-16 over 960 more (CHANGES.md)
+GRAM_TOL = 1e-15
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("size", [16, 32, 64])
+def test_gram_sums_match_full_width_product(size, width):
+    basis = BasisSpec(size, 2 * size)
+    form = QuadraticForm(basis)
+    x, w = np.polynomial.legendre.leggauss(4)
+    s = np.array([0.02, 0.5])[:, None] + 0.01 * x
+    rng = np.random.default_rng(100 * size + width)
+    for span in range(1, size + 1):
+        dmat = rng.standard_normal((size, width))
+        dmat[span:] = 0.0
+        got = form._gram_sums(s, w, dmat)
+        want = np.zeros_like(got)
+        for r in range(s.shape[0]):
+            for k in range(s.shape[1]):
+                want[r] += w[k] * oracles.gram_at(basis, s[r, k], dmat, full_width=True)
+        assert np.abs(got - want).max() <= GRAM_TOL * np.abs(want).max(), span
+
+
+def test_gram_sums_keep_heat_limit_bits():
+    # the heat limit's shape: N = 64, Q = 128, the first 16 unit functions
+    basis = BasisSpec(64, 128)
+    form = QuadraticForm(basis)
+    dmat = derivative_op(basis)[:, :16]
+    for steps in (250, 1000):
+        grid = TimeGrid(1.0, steps)
+        want = oracles.increment_covariances_per_node(basis, grid, dmat, full_width=True)
+        assert np.array_equal(form.increment_covariances(grid, dmat), want)
 
 
 # largest difference of the weighted driver from the four-pass one, relative

@@ -328,6 +328,17 @@ def test_order_statistics_equal_numpy(kind):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 7, 3), (0, 4), (1, 1, 1), (12, 11, 10)])
+def test_array_csv_equals_per_value_writer(tmp_path, shape):
+    rng = np.random.default_rng(len(shape))
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    a.ravel()[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324][: a.size]
+    names = tuple("abc"[: len(shape)])
+    write_array_csv(a, tmp_path / "new.csv", names)
+    oracles.write_array_csv_per_value(a, tmp_path / "old.csv", names)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_dual_csv_roundtrip(tmp_path, basis16):
     rng = np.random.default_rng(37)
     states = rng.standard_normal((3, 7, basis16.size))
