@@ -330,11 +330,14 @@ def write_array_csv(array, path, index_names) -> None:
     a = np.asarray(array, dtype=float)
     if a.ndim != len(index_names):
         raise ValueError(f"array must have {len(index_names)} axes, one per index name")
-    keys = [""]  # "i,j,...," for every entry, in row-major order
-    for n in a.shape:
+    keys = [""]  # "j,...," for every entry of one leading slice, in row-major order
+    for n in a.shape[1:]:
         suffixes = [f"{i}," for i in range(n)]
         keys = [k + s for k in keys for s in suffixes]
-    values = map(repr, a.ravel().tolist())
+    lead = a.shape[0] if a.ndim else 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*index_names, "value"]) + "\n")
-        fh.write("".join(map("".join, zip(keys, values, repeat("\n")))))
+        for i, row in enumerate(a.reshape(lead, len(keys))):  # one slice in memory at a time
+            prefix = f"{i}," if a.ndim else ""
+            rows = zip(repeat(prefix), keys, map(repr, row.tolist()), repeat("\n"))
+            fh.write("".join(map("".join, rows)))

@@ -328,7 +328,7 @@ def test_order_statistics_equal_numpy(kind):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 7, 3), (0, 4), (1, 1, 1), (12, 11, 10)])
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 7, 3), (0, 4), (3, 0), (4, 0, 2), (1, 1, 1), (12, 11, 10)])
 def test_array_csv_equals_per_value_writer(tmp_path, shape):
     rng = np.random.default_rng(len(shape))
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
