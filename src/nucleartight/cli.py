@@ -30,7 +30,6 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, diagnostics, hermite
 from .config import ConfigError, _basis_from, _require, materialize
@@ -102,7 +101,6 @@ def _header(cfg: dict) -> dict:
         "versions": {
             "nucleartight": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }

@@ -60,6 +60,7 @@ __all__ = [
     "simulate_limit",
     "clt_report",
     "parallel_map",
+    "map_blocks",
     "run_blocks",
 ]
 
@@ -192,30 +193,34 @@ _DRIVER_VALUES = 65_536
 
 
 def run_blocks(n: int, reps: int, grid: TimeGrid, basis: BasisSpec, seed: int, threads: int, reduce):
-    """Map ``reduce`` over repetitions ``0..reps-1`` of ``n`` particles, in blocks
-    of ``max(1, _DRIVER_VALUES // (J max(n, N)))`` repetitions: the bound holds
-    both a block's ``(n, J)`` mode buffer and its ``(J+1, N)`` states.  That
-    is 20 repetitions for ``n = 5`` and 16 for ``n = 20`` at ``J = 200``,
-    ``N = 16``, and one at ``J = 1000``, ``N = 64``.  The block size depends
-    on ``n``, ``J`` and ``N`` only, never on ``threads``.
+    """Map ``reduce`` over repetitions ``0..reps-1`` of ``n`` particles with
+    :func:`map_blocks`, in blocks of ``max(1, _DRIVER_VALUES // (J max(n, N)))``
+    repetitions: the bound holds both a block's ``(n, J)`` mode buffer and
+    its ``(J+1, N)`` states.  That is 20 repetitions for ``n = 5`` and 16 for
+    ``n = 20`` at ``J = 200``, ``N = 16``, and one at ``J = 1000``, ``N = 64``.
+    The block size depends on ``n``, ``J`` and ``N`` only, never on ``threads``.
 
-    ``reduce`` gets one block's :class:`ParticleEnsemble` and returns a tuple
-    of arrays with one leading entry per repetition, or ``None`` for one it
-    does not collect; each is concatenated in repetition order.  Repetition
-    ``rep`` draws from its own stream, so neither the blocks nor ``threads``
-    change a bit when ``reduce`` gives each repetition the bits it gets alone.
+    ``reduce`` gets one block's :class:`ParticleEnsemble`.  Repetition ``rep``
+    draws from its own stream, so neither the blocks nor ``threads`` change a
+    bit when ``reduce`` gives each repetition the bits it gets alone.
     """
     size = max(1, _DRIVER_VALUES // (grid.steps * max(n, basis.size)))
+    return map_blocks(reps, size, threads, lambda ids: reduce(simulate_particles(n, grid, seed, ids)))
+
+
+def map_blocks(count: int, size: int, threads: int, reduce) -> tuple:
+    """Map ``reduce`` over consecutive ranges of ``size`` indices of
+    ``range(count)``, the last one shorter, on :func:`parallel_map`.
+
+    ``reduce`` returns a tuple of arrays with one leading entry per index,
+    or ``None`` for a field it does not collect; each field is concatenated
+    in index order, and a ``None`` field stays ``None``.
+    """
 
     def block(i):
-        return reduce(simulate_particles(n, grid, seed, range(i * size, min(i * size + size, reps))))
+        return reduce(range(i * size, min(i * size + size, count)))
 
-    return concatenate_blocks(parallel_map(block, -(-reps // size), threads))
-
-
-def concatenate_blocks(results) -> tuple:
-    """Concatenate the per-block tuples of arrays, field by field, in order;
-    a field the blocks return as ``None`` stays ``None``."""
+    results = parallel_map(block, -(-count // size), threads)
     return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*results))
 
 

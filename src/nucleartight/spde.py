@@ -45,7 +45,7 @@ from .martingales import (
     _mn_dual_states,
     _phi_label,
     _sqrt_factors,
-    concatenate_blocks,
+    map_blocks,
     parallel_map,
     run_blocks,
 )
@@ -227,14 +227,7 @@ def _limit_factors(grid: TimeGrid, basis: BasisSpec, modes: int) -> np.ndarray:
     return _sqrt_factors(QuadraticForm(basis).increment_covariances(grid, dmat))
 
 
-def _limit_driver_chunk(
-    factors: np.ndarray,
-    basis: BasisSpec,
-    grid: TimeGrid,
-    seed: int,
-    tag: str,
-    indices,
-) -> np.ndarray:
+def _limit_driver_chunk(factors: np.ndarray, basis: BasisSpec, seed: int, tag: str, indices) -> np.ndarray:
     """Dual driver states for the given path indices, shape (len, J+1, N).
 
     Normals are drawn per path from streams keyed by the path index, so the
@@ -281,18 +274,23 @@ def _calibration_sample(solver, weights, flow, rep: int, side: int, size: int) -
     return out
 
 
+# driver states per heat limit chunk: max(1, _LIMIT_STATES // ((J+1) N)) paths
+_LIMIT_STATES = 4_000_000
+
+
 class _HeatSolver:
     """The solve steps the reports share on one grid: initial state, particle
     or limit driver, mild solution.
 
-    Every draw comes from a stream keyed by its path.  Particle repetitions
-    come in the blocks of :func:`run_blocks` and get one mild solve each
-    (:func:`_mild_states`: two numpy calls per time step); the
-    limit chunk size depends only on the grid and the basis, so results
-    depend on neither the blocks nor threading.  A limit path's bits do
-    depend on its chunk: the mild solve of a single path runs matrix-vector
-    products, which round differently (about 1e-14 relative) from the matrix
-    products of a larger chunk.
+    Every draw comes from a stream keyed by its path.  Both samples go
+    through :func:`map_blocks`: particle repetitions in the blocks of
+    :func:`run_blocks`, one mild solve each (:func:`_mild_states`: two numpy
+    calls per time step), and limit paths in chunks of ``_LIMIT_STATES``
+    driver states, one mild solve per chunk.  Neither size depends on
+    threading, so neither do the results.  A limit path's bits do depend on
+    its chunk: a single path's mild solve runs matrix-vector products, which
+    round differently (about 1e-14 relative) from a larger chunk's matrix
+    products.
     """
 
     def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int = 0, eta_spec=None):
@@ -316,16 +314,12 @@ class _HeatSolver:
         etas = np.array([self.initial("initial", rep) for rep in particles.stream_id])
         return drivers, etas, np.array([self.solve(d, e) for d, e in zip(drivers, etas)])
 
-    def limit(self, factors: np.ndarray, count: int):
-        """Yield ``(drivers, etas, solutions)`` for limit paths ``0..count-1``
-        in chunks of about four million states, from the streams tagged
-        ``"limit"`` and ``"limit-initial"``."""
-        chunk = max(1, 4_000_000 // ((self.grid.steps + 1) * self.basis.size))
-        for a in range(0, count, chunk):
-            idx = range(a, min(a + chunk, count))
-            drivers = _limit_driver_chunk(factors, self.basis, self.grid, self.seed, "limit", idx)
-            etas = np.array([self.initial("limit-initial", i) for i in idx])
-            yield drivers, etas, self.solve(drivers, etas)
+    def limit(self, factors: np.ndarray, indices: range):
+        """``(drivers, etas, solutions)`` of limit paths ``indices``, from the
+        streams tagged ``"limit"`` and ``"limit-initial"``."""
+        drivers = _limit_driver_chunk(factors, self.basis, self.seed, "limit", indices)
+        etas = np.array([self.initial("limit-initial", i) for i in indices])
+        return drivers, etas, self.solve(drivers, etas)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +379,8 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
         }
 
     # --- limit-driven sample ---------------------------------------------
-    limit_cells, *stats, limit_paths = concatenate_blocks([reduce(*chunk) for chunk in solver.limit(factors, reps)])
+    chunk = max(1, _LIMIT_STATES // ((grid.steps + 1) * basis.size))
+    limit_cells, *stats, limit_paths = map_blocks(reps, chunk, threads, lambda ids: reduce(*solver.limit(factors, ids)))
     extras = {"per_n": {}, "limit": {"modes": limit_modes, **summary(*stats)}, "paths": {}}
     if collect_paths:
         extras["paths"]["limit"] = limit_paths

@@ -507,14 +507,15 @@ def test_huge_finite_inputs_are_numerical_integrity_failures(tmp_path, capsys, c
     assert f"numerical-integrity failure: {quantity}" in err and "Traceback" not in err
 
 
-# a fresh interpreter: the heavy modules each stage of a run has loaded
+# a fresh interpreter: the heavy modules each stage of a run has loaded, and
+# the library versions a report header names
 _IMPORT_PROBE = """
 import json, sys
 from nucleartight import cli
 from nucleartight.martingales import clt_report
 from nucleartight.spde import heat_convergence_report, tightness_report
 
-heavy = ("scipy.linalg", "scipy.special", "scipy.spatial", "numpy.ma")
+heavy = ("scipy", "scipy.linalg", "scipy.special", "scipy.spatial", "numpy.ma")
 seen = {}
 def mark(stage):
     seen[stage] = sorted(m for m in heavy if m in sys.modules)
@@ -531,7 +532,9 @@ heat_convergence_report(heat)
 mark("heat")
 tightness_report(cfg)
 mark("tightness")
-print(json.dumps(seen))
+report, _, _ = cli.run_command("clt", cfg)
+mark("report")
+print(json.dumps({"seen": seen, "versions": sorted(report.metadata["versions"])}))
 """
 
 
@@ -547,8 +550,9 @@ def test_no_command_loads_scipy_submodules_or_numpy_ma():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen == {stage: [] for stage in ("import", "clt", "setup", "heat", "tightness")}
+    out = json.loads(proc.stdout)
+    assert out["seen"] == {stage: [] for stage in ("import", "clt", "setup", "heat", "tightness", "report")}
+    assert out["versions"] == ["nucleartight", "numpy", "python"]
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

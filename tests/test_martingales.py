@@ -570,8 +570,8 @@ def test_limit_samplers_match_parent(basis, count, coeffs, steps):
     # the heat driver: one stream per path, zero-padded to basis.size columns
     for modes, indices in [(1, range(4)), (5, range(2, 7)), (basis.size, range(3)), (5, [6])]:
         factors = spde._limit_factors(grid, basis, modes)
-        args = (factors, basis, grid, 21, "limit", indices)
-        assert np.array_equal(spde._limit_driver_chunk(*args), oracles.limit_driver_chunk(*args))
+        got = spde._limit_driver_chunk(factors, basis, 21, "limit", indices)
+        assert np.array_equal(got, oracles.limit_driver_chunk(factors, basis, grid, 21, "limit", indices))
 
 
 def test_sqrt_factors_integrity():

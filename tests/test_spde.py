@@ -367,3 +367,39 @@ def test_heat_report_thread_invariance(basis):
     b_cells, b_extras = heat_convergence_report(cfg, threads=4)
     assert a_cells == b_cells
     assert a_extras["calibration"]["pvalues"] == b_extras["calibration"]["pvalues"]
+
+
+def test_heat_multi_chunk_limit_thread_invariance(basis, monkeypatch):
+    """A limit sample of several chunks, the last one partial, has the same
+    cells, extras and paths on one thread and on the pool."""
+    grid = TimeGrid(1.0, 20)
+    monkeypatch.setattr(spde, "_LIMIT_STATES", 3 * (grid.steps + 1) * basis.size)  # 3 paths a chunk
+    chunks = []
+    driver = spde._limit_driver_chunk
+
+    def recording(factors, basis, seed, tag, indices):
+        chunks.append(len(indices))
+        return driver(factors, basis, seed, tag, indices)
+
+    monkeypatch.setattr(spde, "_limit_driver_chunk", recording)
+    cfg = scenario(
+        basis,
+        grid,
+        n_list=[5],
+        phi_list=[[1.0]],
+        times=[0.5, 1.0],
+        reps=10,
+        seed=15,
+        limit_modes=4,
+        calibration={"reps": 0},
+        tightness={"deltas": [0.2]},
+    )
+    a_cells, a_extras = heat_convergence_report(cfg, threads=1, collect_paths=True)
+    assert chunks == [3, 3, 3, 1]
+    b_cells, b_extras = heat_convergence_report(cfg, threads=4, collect_paths=True)
+    assert a_cells == b_cells
+    a_paths, b_paths = a_extras.pop("paths"), b_extras.pop("paths")
+    assert a_extras == b_extras
+    assert a_paths.keys() == b_paths.keys() == {"limit", 5}
+    assert a_paths["limit"].shape == (10, grid.steps + 1, basis.size)
+    assert all(np.array_equal(a_paths[k], b_paths[k]) for k in a_paths)
