@@ -142,9 +142,10 @@ def _mild_states(
     ``Lap M`` it has just consumed, which then holds the step's Duhamel sum
     (plus one ``matmul`` for a nonzero initial state's flow, into the output
     row).  The sum ``flow + dt * duhamel + driver`` is then formed over the
-    whole array, in the per-step order.  A single path keeps matrix-vector
-    products and a batch matrix products, with the operator the per-step
-    form used, so the bits match it for every leading shape.
+    whole array, in the per-step order.  Every step operand carries a unit
+    axis before ``N``, so each ``matmul`` runs one matrix-vector product per
+    path: every path of any batch gets the bits of its lone solve, which are
+    the bits of the per-step form.
     """
     rows = driver_states.shape[-2]
     out = np.empty(driver_states.shape)
@@ -158,12 +159,13 @@ def _mild_states(
     # a zero initial state stays zero: skip its flow, keeping the +0 its
     # products would give
     flows = bool(np.any(eta_coeffs))
-    acc, prev = np.empty(drv.shape[1:]), np.zeros(drv.shape[1:])
+    steps, flow = duhamel[..., None, :], tm[..., None, :]  # (J, ..., 1, N) and (J+1, ..., 1, N) views
+    acc, prev = np.empty(steps.shape[1:]), np.zeros(steps.shape[1:])
     for j in range(1, rows):
-        np.add(prev, duhamel[j - 1], out=acc)
-        prev = np.matmul(acc, e_dt, out=duhamel[j - 1])
+        np.add(prev, steps[j - 1], out=acc)
+        prev = np.matmul(acc, e_dt, out=steps[j - 1])
         if flows:
-            np.matmul(eta_flow if j == 1 else tm[j - 1], e_dt, out=tm[j])
+            np.matmul(eta_flow[..., None, :] if j == 1 else flow[j - 1], e_dt, out=flow[j])
     np.multiply(duhamel, dt, out=duhamel)
     if flows:
         np.add(tm[1:], duhamel, out=tm[1:])
@@ -175,9 +177,8 @@ def _mild_states(
 
 def mild_solution(driver, eta, grid: TimeGrid) -> np.ndarray:
     """Solve the heat evolution driven by ``driver`` (``(..., J+1, N)``) from
-    initial coefficients ``eta`` (broadcasting to ``(..., N)``).  A block of
-    paths is solved with matrix products, which round differently (about
-    1e-14 relative) from the matrix-vector products of a single path."""
+    initial coefficients ``eta`` (broadcasting to ``(..., N)``).  Every path
+    of a block gets the bits of its lone solve."""
     driver = _dual_states(driver, grid, "driver")
     size = driver.shape[-1]
     eta = _initial_coeffs(eta, driver.shape[:-2] + (size,))
@@ -191,15 +192,15 @@ def weak_form_residual(solution, driver, eta, phi: TestFunction, grid: TimeGrid)
     Checks ``<Y_t, phi> = <eta, phi> + int_0^t <Y_r, Lap phi> dr + <M_t, phi>``
     with the trapezoid rule for the time integral; returns the max over grid
     nodes of the absolute defect, shape ``(...)`` for paths ``(..., J+1, N)``.
-    Each path's ``<eta, phi>`` is its own dot product, so every path in a
-    block gets the bits it gets alone.
+    Each path's ``<eta, phi>`` is its own dot product (a unit axis before
+    ``N``), so every path in a block gets the bits it gets alone.
     """
     y_states = _dual_states(solution, grid, "solution")
     m_states = _dual_states(driver, grid, "driver")
     if m_states.shape != y_states.shape or y_states.shape[-1] != phi.basis.size:
         raise ValueError("solution, driver and phi must share a basis and a shape")
-    eta = _initial_coeffs(eta, y_states.shape[:-2] + (phi.basis.size,)).reshape(-1, phi.basis.size)
-    start = np.array([e @ phi.coeffs for e in eta]).reshape(y_states.shape[:-2] + (1,))
+    eta = _initial_coeffs(eta, y_states.shape[:-2] + (phi.basis.size,))
+    start = eta[..., None, :] @ phi.coeffs  # (..., 1)
     y = y_states @ phi.coeffs
     integrand = y_states @ (laplacian_op(phi.basis) @ phi.coeffs)
     integral = np.zeros_like(y)
@@ -274,7 +275,7 @@ def _calibration_sample(solver, weights, flow, rep: int, side: int, size: int) -
     return out
 
 
-# driver states per heat limit chunk: max(1, _LIMIT_STATES // ((J+1) N)) paths
+# driver states per heat limit chunk, a memory bound only: max(1, _LIMIT_STATES // ((J+1) N)) paths
 _LIMIT_STATES = 4_000_000
 
 
@@ -284,13 +285,10 @@ class _HeatSolver:
 
     Every draw comes from a stream keyed by its path.  Both samples go
     through :func:`map_blocks`: particle repetitions in the blocks of
-    :func:`run_blocks`, one mild solve each (:func:`_mild_states`: two numpy
-    calls per time step), and limit paths in chunks of ``_LIMIT_STATES``
-    driver states, one mild solve per chunk.  Neither size depends on
-    threading, so neither do the results.  A limit path's bits do depend on
-    its chunk: a single path's mild solve runs matrix-vector products, which
-    round differently (about 1e-14 relative) from a larger chunk's matrix
-    products.
+    :func:`run_blocks` and limit paths in chunks of ``_LIMIT_STATES`` driver
+    states, one mild solve per block or chunk (:func:`_mild_states`: two
+    numpy calls per time step).  Each path gets the bits of its lone solve,
+    so no result depends on the block or chunk sizes or on threading.
     """
 
     def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int = 0, eta_spec=None):
@@ -312,7 +310,7 @@ class _HeatSolver:
         one row per index of ``particles.stream_id``."""
         drivers = _mn_dual_states(particles, self.basis)[0]
         etas = np.array([self.initial("initial", rep) for rep in particles.stream_id])
-        return drivers, etas, np.array([self.solve(d, e) for d, e in zip(drivers, etas)])
+        return drivers, etas, self.solve(drivers, etas)
 
     def limit(self, factors: np.ndarray, indices: range):
         """``(drivers, etas, solutions)`` of limit paths ``indices``, from the
@@ -364,7 +362,7 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
     def reduce(drivers, etas, sols):
         """Per path: cell values, sup, moduli, the largest weak-form residual
         over every phi, and the solution itself when paths are collected."""
-        cells = np.array([[sol[j] @ c for c, j in cell_vectors] for sol in sols])
+        cells = np.concatenate([sols[:, j, None, :] @ c for c, j in cell_vectors], axis=1)
         sup, mods = dual_path_stats(sols, grid, deltas, tightness_index)
         resid = np.max([weak_form_residual(sols, drivers, etas, phi, grid) for phi in phis], axis=0)
         return cells, sup, mods, resid, sols if collect_paths else None

