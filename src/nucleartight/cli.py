@@ -224,11 +224,11 @@ def run_command(command: str, cfg: dict, threads: int = 1, dump: bool = False):
     a non-finite statistic (an input too large for floats) is a numerical-integrity failure."""
     full = materialize(command, cfg)
     cells, extras, ok = _RUNNERS[command](full, threads, dump)
-    where = diagnostics._nonfinite_field(cells)
-    if where is not None:
-        raise NumericalIntegrityError(f"statistic {where} is not finite")
     metadata = _header(full)
     metadata["extras"] = {k: v for k, v in extras.items() if k != "paths"} if extras else {}
+    where = diagnostics._nonfinite_statistic(cells, metadata)
+    if where is not None:
+        raise NumericalIntegrityError(f"statistic {where} is not finite")
     metadata["gates_pass"] = bool(ok)
     report = diagnostics.assemble_report(cells, metadata, scenario=full.get("scenario", command))
     return report, ok, extras

@@ -341,9 +341,14 @@ def validate_report(data: dict) -> None:
     if not isinstance(data["cells"], list):
         raise ValueError("report cells must be a list")
 
-    where = _nonfinite_field(data["cells"])
+    where = _nonfinite_statistic(data["cells"], data["metadata"])
     if where is not None:
         raise ValueError(f"report contains a non-finite statistic at {where}")
+
+
+def _nonfinite_statistic(cells: list, metadata: dict) -> str | None:
+    """The path of the first non-finite float in ``cells`` or ``metadata['extras']``, or ``None``."""
+    return _nonfinite_field(cells) or _nonfinite_field(metadata.get("extras", {}), "metadata['extras']")
 
 
 def _nonfinite_field(node, crumb: str = "cells") -> str | None:

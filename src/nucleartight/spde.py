@@ -135,43 +135,35 @@ def _mild_states(
 ) -> np.ndarray:
     """Mild-solution states for a batch: shapes (..., J+1, N) and (..., N).
 
-    Left-point Duhamel sum evaluated recursively with one semigroup
-    application per step, so the whole path costs O(J N^2).  The Duhamel
-    recurrence runs time-major, so the rows a step reads and writes are
-    contiguous: a step is one ``add`` and one ``matmul`` into the row of
-    ``Lap M`` it has just consumed, which then holds the step's Duhamel sum
-    (plus one ``matmul`` for a nonzero initial state's flow, into the output
-    row).  The sum ``flow + dt * duhamel + driver`` is then formed over the
-    whole array, in the per-step order.  Every step operand carries a unit
-    axis before ``N``, so each ``matmul`` runs one matrix-vector product per
-    path: every path of any batch gets the bits of its lone solve, which are
-    the bits of the per-step form.
+    One accumulator carries the initial state and the left-point Duhamel
+    sum: ``D_0 = eta / dt`` and ``D_j = (D_{j-1} + Lap M_{t_{j-1}}) E(dt)``
+    give ``Y_{t_j} = dt D_j + M_{t_j}``, O(J N^2) per path for any ``eta``.
+    The recurrence runs time-major, so a step is one ``add`` and one
+    ``matmul`` into the contiguous row of ``Lap M`` it has just consumed.
+    Every step operand carries a unit axis before ``N``, so each ``matmul``
+    runs one matrix-vector product per path: every path of any batch gets
+    the bits of its lone solve, which are the bits of the per-step form.  An
+    overflowing ``eta / dt`` raises :class:`NumericalIntegrityError`.
     """
+    with np.errstate(over="ignore"):
+        start = eta_coeffs / dt
+    if not np.all(np.isfinite(start)):
+        raise NumericalIntegrityError(f"initial state over dt = {dt!r} overflows")
     rows = driver_states.shape[-2]
     out = np.empty(driver_states.shape)
     drv, tm = np.moveaxis(driver_states, -2, 0), np.moveaxis(out, -2, 0)  # (J+1, ..., N) views
-    # row j - 1 holds Lap M_{t_{j-1}} until step j overwrites it with the
-    # Duhamel sum of step j (row J is never read; a buffer of the driver's
-    # size lets the allocator reuse it for the next path's arrays)
+    # row j - 1 holds Lap M_{t_{j-1}} until step j overwrites it with D_j
+    # (row J is never read; a buffer of the driver's size lets the allocator
+    # reuse it for the next path's arrays)
     duhamel = _apply_laplacian(drv, main, off, np.empty(drv.shape))[:-1]
-    eta_flow = np.broadcast_to(eta_coeffs, drv.shape[1:]).copy()
-    tm[0] = eta_flow + drv[0]
-    # a zero initial state stays zero: skip its flow, keeping the +0 its
-    # products would give
-    flows = bool(np.any(eta_coeffs))
-    steps, flow = duhamel[..., None, :], tm[..., None, :]  # (J, ..., 1, N) and (J+1, ..., 1, N) views
-    acc, prev = np.empty(steps.shape[1:]), np.zeros(steps.shape[1:])
+    tm[0] = eta_coeffs + drv[0]
+    steps = duhamel[..., None, :]  # (J, ..., 1, N) view
+    acc, prev = np.empty(steps.shape[1:]), start[..., None, :]
     for j in range(1, rows):
         np.add(prev, steps[j - 1], out=acc)
         prev = np.matmul(acc, e_dt, out=steps[j - 1])
-        if flows:
-            np.matmul(eta_flow[..., None, :] if j == 1 else flow[j - 1], e_dt, out=flow[j])
     np.multiply(duhamel, dt, out=duhamel)
-    if flows:
-        np.add(tm[1:], duhamel, out=tm[1:])
-    else:
-        np.add(duhamel, 0.0, out=tm[1:])
-    np.add(tm[1:], drv[1:], out=tm[1:])
+    np.add(duhamel, drv[1:], out=tm[1:])
     return out
 
 

@@ -248,24 +248,39 @@ def mn_dual_states_full(particles, basis):
 
 
 def mild_states_loop(driver_states, eta_coeffs, e_dt, main, off, dt):
-    """``spde._mild_states`` as the per-step loop the time-major kernel
-    replaced: about six numpy calls per step on batch-major rows.  A
-    bit-for-bit reference, so it keeps the loop's operators and order."""
+    """``spde._mild_states`` as a per-step loop on batch-major rows: one
+    accumulator started at ``eta / dt`` carries the initial state and the
+    Duhamel sum, ``Y_j = dt D_j + M_j``.  A bit-for-bit reference, so it
+    keeps the kernel's operators and order."""
     lm = driver_states * main
     lm[..., :-2] += driver_states[..., 2:] * off
     lm[..., 2:] += driver_states[..., :-2] * off
     out = np.empty_like(driver_states)
-    eta_flow = np.broadcast_to(eta_coeffs, driver_states[..., 0, :].shape).copy()
-    out[..., 0, :] = eta_flow + driver_states[..., 0, :]
-    flows = bool(np.any(eta_coeffs))
-    if not flows:
-        eta_flow = np.zeros_like(eta_flow)
-    duhamel = np.zeros_like(eta_flow)
+    out[..., 0, :] = eta_coeffs + driver_states[..., 0, :]
+    duhamel = eta_coeffs / dt
     for j in range(1, driver_states.shape[-2]):
         duhamel = (duhamel + lm[..., j - 1, :]) @ e_dt
-        if flows:
-            eta_flow = eta_flow @ e_dt
-        out[..., j, :] = eta_flow + dt * duhamel + driver_states[..., j, :]
+        out[..., j, :] = dt * duhamel + driver_states[..., j, :]
+    return out
+
+
+def mild_states_longdouble(driver_states, eta_coeffs, e_dt, main, off, dt):
+    """The mild form in long double from the same float64 ``E(dt)`` and
+    ``Lap``, with the flow ``E(t_j) eta`` and the left-point Duhamel sum kept
+    separate: ``Y_j = E(t_j) eta + dt sum_{l<j} E(t_j - t_l) Lap M_l + M_j``.
+    One path, ``(J+1, N)``; an accuracy reference, not a bit reference."""
+    ld = np.longdouble
+    e_dt, m = e_dt.astype(ld), driver_states.astype(ld)
+    lap = np.diag(main.astype(ld)) + np.diag(off.astype(ld), 2) + np.diag(off.astype(ld), -2)
+    lm = m @ lap
+    out = np.empty_like(m)
+    flow = eta_coeffs.astype(ld)
+    duhamel = np.zeros_like(flow)
+    out[0] = flow + m[0]
+    for j in range(1, m.shape[0]):
+        flow = flow @ e_dt
+        duhamel = (duhamel + lm[j - 1]) @ e_dt
+        out[j] = flow + ld(dt) * duhamel + m[j]
     return out
 
 

@@ -23,9 +23,9 @@ GOLDEN_HASHES = {
     "clt-smoke": "5e70edb449fc0d42da18a4aafea4e3d1e08158bb433e0b338267ab273832fd3e",
     "heat-smoke": "cb272a56f817670ed0f9c139c06c3b30c7f912cfbc42c826a27769434eb86b85",
     "tightness-smoke": "2c40c84cc753be75aa80241c2457e43d81a2e042b4fee6f374a3844b16d45fcd",
-    "heat-gaussian": "61a5a6568bb44aea4cd12af5af98b4ef9db9c24ab7a3024bb3812616c8786747",
-    "heat-fixed": "5b1a1af517654553ecf111a5542f68fa84abfcfea390222c81aa40e3541c7871",
-    "tightness-gaussian": "3c7ceae057daac5d4e9949a6433bacbd2ac34ef5a82082445f94183e92cde53e",
+    "heat-gaussian": "a4c462efcaf62c9fc5d418b992159590e779ee7a95533252174c8e5d3e002c6a",
+    "heat-fixed": "8ca73d014021feb9b92b5e9ba706f6480f890ab6f4d52f5a15c2012b5c8e35e8",
+    "tightness-gaussian": "cfb7632a44ebf2757867cde4965caa02d52e7b91eba5438332911826cf8104e7",
     "clt-edge": "644e09d30311a0855f2635ddc9de295cf75ec94504dc04915ec5b439d9439c13",
 }
 
@@ -496,8 +496,15 @@ def test_numerical_integrity_exit_code(tmp_path, monkeypatch, capsys):
         ("clt", {"phi_list": [[1e80]]}, "statistic cells[0]['qv_se'] is not finite"),
         ("heat", {"eta": {"kind": "gaussian", "r": 1.0, "scale": 1e308}}, "gaussian initial state"),
         ("tightness", {"eta": {"kind": "gaussian", "r": 1.0, "scale": 1e308}}, "gaussian initial state"),
+        # finite cells, but the dual-norm squares of the paths overflow in the
+        # tightness summaries of metadata.extras
+        (
+            "heat",
+            {"eta": {"kind": "fixed-coeffs", "coeffs": [0, 1e160, 0, 0, 0, 0, 0, 0]}},
+            "statistic metadata['extras']['per_n'][5]['tightness']",
+        ),
     ],
-    ids=["clt-phi", "clt-phi-squared", "heat-eta", "tightness-eta"],
+    ids=["clt-phi", "clt-phi-squared", "heat-eta", "tightness-eta", "heat-extras"],
 )
 def test_huge_finite_inputs_are_numerical_integrity_failures(tmp_path, capsys, command, override, quantity):
     path = tmp_path / "cfg.json"
@@ -505,6 +512,7 @@ def test_huge_finite_inputs_are_numerical_integrity_failures(tmp_path, capsys, c
     assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert f"numerical-integrity failure: {quantity}" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 # a fresh interpreter: the heavy modules each stage of a run has loaded, and

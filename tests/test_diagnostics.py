@@ -277,6 +277,10 @@ def test_validate_rejects_nonfinite_statistics():
     cells[0]["ks"] = float("nan")
     with pytest.raises(ValueError):
         assemble_report(cells, {}, scenario="unit")
+    report = assemble_report(_cells(), {"extras": {"limit": {"residual_max": 1.0}}}, scenario="unit").to_dict()
+    report["metadata"]["extras"]["limit"]["residual_max"] = float("inf")
+    with pytest.raises(ValueError, match=r"metadata\['extras'\]\['limit'\]\['residual_max'\]"):
+        validate_report(report)
 
 
 def test_canonical_json_handles_numpy_types():

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from nucleartight import spde
 from nucleartight.hermite import BasisSpec, DualElement, TestFunction, heat_matrix
-from nucleartight.martingales import simulate_particles
+from nucleartight.martingales import NumericalIntegrityError, simulate_particles
 from nucleartight.paths import TimeGrid, containment_summary, dual_path_stats, modulus_dual, sup_dual_norm
 from nucleartight.spde import (
     heat_convergence_report,
@@ -190,6 +190,33 @@ def test_mild_states_match_per_step_loop(lead, nonzero_eta):
         for path in np.ndindex(lead):
             want = oracles.mild_states_loop(driver[path], eta[path], *ops)
             assert np.array_equal(got[path].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("nonzero_eta", [False, True], ids=["zero-eta", "eta"])
+@pytest.mark.parametrize("size, steps", [(8, 400), (32, 200), (64, 100)])
+def test_mild_states_near_long_double_mild_form(size, steps, nonzero_eta):
+    """The one-accumulator solve stays within 5e-14 of the largest state of a
+    long-double evaluation of the mild form with its flow and its Duhamel sum
+    kept apart, on the same float64 ``E(dt)`` and ``Lap``."""
+    rng = np.random.default_rng(size)
+    solver = spde._HeatSolver(BasisSpec(size, 2 * size), TimeGrid(1.0, steps))
+    driver = np.cumsum(rng.standard_normal((steps + 1, size)), axis=0) / np.sqrt(steps)
+    driver[0] = 0.0
+    eta = rng.standard_normal(size) * (2.0 * np.arange(size) + 1.0) ** -1.0 if nonzero_eta else np.zeros(size)
+    ops = (solver.e_dt, solver.main, solver.off, solver.grid.dt)
+    got = spde._mild_states(driver, eta, *ops)
+    want = oracles.mild_states_longdouble(driver, eta, *ops)
+    assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+
+
+def test_mild_rejects_overflowing_start():
+    """``eta / dt`` starts the accumulator, so an ``eta`` that overflows it is
+    a numerical-integrity failure, not a non-finite solution."""
+    grid = TimeGrid(1e-300, 10)
+    eta = np.zeros(6)
+    eta[1] = 1e10
+    with pytest.raises(NumericalIntegrityError, match="overflows"):
+        mild_solution(np.zeros((grid.steps + 1, 6)), eta, grid)
 
 
 def test_zero_data_zero_solution(basis, grid):
