@@ -16,8 +16,8 @@ no paths, so its parser rejects the flag (exit 2).
 report header, so reports are self-describing; the thread hint is runtime
 only and never recorded, keeping output bytes independent of thread count.
 
-Exit codes: 0 pass, 1 gate failure, 2 config error, 3 numerical-integrity
-failure, 4 internal error (a traceback on stderr).
+Exit codes: 0 pass, 1 gate failure, 2 config error or unwritable ``--out``,
+3 numerical-integrity failure, 4 internal error (a traceback on stderr).
 """
 
 from __future__ import annotations
@@ -111,17 +111,17 @@ def _header(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check(name: str, value: float, tol: float, larger_ok: bool = False) -> dict:
-    ok = value >= tol if larger_ok else value <= tol
-    return {"check": name, "value": float(value), "tolerance": float(tol), "pass": bool(ok)}
+def _check(name: str, value: float, tol: float) -> dict:
+    return {"check": name, "value": float(value), "tolerance": float(tol), "pass": bool(value <= tol)}
 
 
 def _run_basis_check(cfg: dict):
     basis = _basis_from(cfg)
     checks = []
 
-    h = hermite_functions(quadrature_nodes(basis), basis.size)
-    gram = h.T @ (quadrature_weights(basis)[:, None] * h)
+    nodes, weights = quadrature_nodes(basis), quadrature_weights(basis)
+    h = hermite_functions(nodes, basis.size)
+    gram = h.T @ (weights[:, None] * h)
     checks.append(_check("gram_identity", np.abs(gram - np.eye(basis.size)).max(), 1e-10))
 
     d = derivative_op(basis)
@@ -147,12 +147,11 @@ def _run_basis_check(cfg: dict):
         )
     )
 
-    nodes = quadrature_nodes(basis)
     e0 = np.zeros(basis.size)
     e0[0] = 1.0
-    evolved = hermite_functions(nodes, basis.size) @ (e_t @ e0)
+    evolved = h @ (e_t @ e0)
     exact = heat_flow_ground_state(times[-1], nodes)
-    l2 = float(np.sqrt(np.sum(quadrature_weights(basis) * (evolved - exact) ** 2)))
+    l2 = float(np.sqrt(np.sum(weights * (evolved - exact) ** 2)))
     # below 32 modes the truncation tail of the convolved Gaussian dominates;
     # the cell is still reported, but only gated where the solver can win
     conv = _check("heat_flow_vs_convolution_l2", l2, 1e-4)
@@ -270,18 +269,21 @@ def main(argv=None) -> int:
             cmd.add_argument("--dump-paths", action="store_true", help="also write raw path CSVs")
     args = parser.parse_args(argv)
     dump = getattr(args, "dump_paths", False)
+    out_dir = Path(args.out)
 
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("field seed: must be a nonnegative integer")
             cfg["seed"] = args.seed
         threads = args.threads if args.threads is not None else cfg.get("threads", 1)
         _require(type(threads) is int, "threads", "must be an integer")
-        report, ok, extras = run_command(
-            args.command, cfg, threads=max(1, int(threads)), dump=dump
-        )
+        cfg = materialize(args.command, cfg)
+        try:  # before the run, so a bad --out costs none
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
+        report, ok, extras = run_command(args.command, cfg, threads=max(1, int(threads)), dump=dump)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -293,12 +295,14 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    report_path.write_text(report.to_json(), encoding="utf-8")
-    if dump:
-        _dump_paths(args.command, report.metadata["config"], extras, out_dir)
+    try:
+        if dump:
+            _dump_paths(args.command, cfg, extras, out_dir)
+        report_path.write_text(report.to_json(), encoding="utf-8")  # last: a failed write leaves none
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     for cell in report.cells:
         if "check" in cell:

@@ -69,6 +69,10 @@ _DEFAULTS = {
 }
 
 
+# the largest clt cell time: the target A(t, phi) sums ceil(8 t) quadrature panels; at t = 1000
+# one (phi, t) cell took 0.4 s for phi = h_0 and 5 s for a phi of all 64 modes (N = 64, one thread)
+_CLT_MAX_TIME = 1000.0
+
 # keys a config may hold besides its command's defaults; ``command`` is the
 # echo a materialized config carries
 _EXTRA_KEYS = {"": {"scenario", "threads", "command"}, "eta": {"r", "scale", "coeffs"}}
@@ -153,6 +157,8 @@ def materialize(command: str, cfg: dict) -> dict:
         _require(len(set(n_list)) == len(n_list), "n_list", "must hold distinct particle counts")
         if command != "tightness":
             _check_cells(merged, basis, grid)
+        if command == "clt":
+            _require(max(merged["times"]) <= _CLT_MAX_TIME, "times", f"must be at most {_CLT_MAX_TIME:g} for clt")
         if command != "clt":
             _check_eta(merged["eta"], basis)
         if command == "heat":

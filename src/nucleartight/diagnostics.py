@@ -86,17 +86,13 @@ def ks_one_sample(sample, cdf) -> KsResult:
     return KsResult(stat, KS_COEFF_5 * scale, KS_COEFF_1 * scale)
 
 
-def ks_pvalue(statistic: float, m: int, n: int | None = None) -> float:
-    """Asymptotic two-sided p-value for a KS statistic.
+def ks_pvalue(statistic: float, m: int, n: int) -> float:
+    """Asymptotic two-sided p-value for a two-sample KS statistic.
 
     Uses the Kolmogorov series ``Q(y) = 2 sum_k (-1)^(k-1) exp(-2 k^2 y^2)``
-    with the effective sample size ``mn/(m+n)`` for two samples.
+    with the effective sample size ``mn/(m+n)``.
     """
-    if n is None:
-        en = float(m)
-    else:
-        en = m * n / (m + n)
-    y = np.sqrt(en) * statistic
+    y = np.sqrt(m * n / (m + n)) * statistic
     if y < 1e-3:
         return 1.0
     k = np.arange(1, 101)

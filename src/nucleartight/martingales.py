@@ -102,7 +102,6 @@ class ParticleEnsemble:
     count: int
     grid: TimeGrid
     increments: np.ndarray
-    seed: int
     stream_id: int | tuple
 
     def __post_init__(self) -> None:
@@ -113,10 +112,7 @@ class ParticleEnsemble:
 
     def positions(self) -> np.ndarray:
         """Particle positions, shape ``(..., count, steps + 1)``, starting at 0."""
-        b = np.empty(self.increments.shape[:-1] + (self.grid.steps + 1,))
-        b[..., 0] = 0.0
-        np.cumsum(self.increments, axis=-1, out=b[..., 1:])
-        return b
+        return _cumulative(self.increments)
 
 
 def simulate_particles(
@@ -135,7 +131,7 @@ def simulate_particles(
     inc = np.empty((len(ids), n, grid.steps))
     for i, sid in enumerate(ids):
         inc[i] = stream(seed, "particles", sid).normal(0.0, np.sqrt(grid.dt), size=(n, grid.steps))
-    return ParticleEnsemble(n, grid, inc[0] if single else inc, seed, stream_id if single else ids)
+    return ParticleEnsemble(n, grid, inc[0] if single else inc, stream_id if single else ids)
 
 
 def _derivative_coeffs(phi: TestFunction) -> np.ndarray:
@@ -375,29 +371,18 @@ class QuadraticForm:
         return out
 
     def _dmat(self, phis) -> np.ndarray:
-        d = derivative_op(self.basis)
-        cols = []
-        for phi in phis:
-            if phi.basis != self.basis:
-                raise ValueError("test functions must share the form's basis")
-            cols.append(d @ phi.coeffs)
-        return np.column_stack(cols)
+        if any(phi.basis != self.basis for phi in phis):
+            raise ValueError("test functions must share the form's basis")
+        return np.column_stack([_derivative_coeffs(phi) for phi in phis])
 
     def covariance_matrix(self, t: float, phis) -> np.ndarray:
         """Matrix ``C(t; phi_a, phi_b)`` over a list of test functions."""
         if t < 0:
             raise ValueError("time must be >= 0")
-        m = len(phis)
-        if t == 0.0:
-            return np.zeros((m, m))
         dmat = self._dmat(phis)
         panels = max(1, int(np.ceil(t * _PANELS_PER_UNIT)))
         nodes, weights = _gl_composite(float(t), panels, _GL_POINTS)
         return self._gram_sums(nodes[None], weights, dmat)[0]
-
-    def variance(self, t: float, phi: TestFunction) -> float:
-        """The variance function ``A(t, phi) = C(t; phi, phi)``."""
-        return float(self.covariance_matrix(t, [phi])[0, 0])
 
     def increment_covariances(self, grid: TimeGrid, dmat: np.ndarray) -> np.ndarray:
         """Per-step covariance increments, shape ``(steps, m, m)``.
@@ -413,8 +398,8 @@ class QuadraticForm:
 
 
 def limit_variance(phi: TestFunction, t: float) -> float:
-    """Variance function ``A(t, phi)`` of the Gaussian limit martingale."""
-    return QuadraticForm(phi.basis).variance(t, phi)
+    """Variance function ``A(t, phi) = C(t; phi, phi)`` of the Gaussian limit martingale."""
+    return float(QuadraticForm(phi.basis).covariance_matrix(t, [phi])[0, 0])
 
 
 def _sqrt_factors(increments: np.ndarray) -> np.ndarray:
@@ -434,6 +419,12 @@ def _sqrt_factors(increments: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", vecs, root, vecs)
 
 
+def _limit_factors(grid: TimeGrid, basis: BasisSpec, dmat: np.ndarray) -> np.ndarray:
+    """Square roots of the limit's per-step increment covariances for the
+    derivative coefficients ``dmat`` (``N x m``), shape ``(steps, m, m)``."""
+    return _sqrt_factors(QuadraticForm(basis).increment_covariances(grid, dmat))
+
+
 def _limit_states(factors: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
     """Gaussian limit paths from standard normals ``z`` of shape ``(count, steps, m)``.
 
@@ -447,28 +438,22 @@ def _limit_states(factors: np.ndarray, z: np.ndarray, width: int) -> np.ndarray:
     return states
 
 
-def simulate_limit(
-    phis,
-    grid: TimeGrid,
-    count: int,
-    seed: int,
-    stream_id: int = 0,
-) -> np.ndarray:
+def simulate_limit(phis, grid: TimeGrid, count: int, seed: int) -> np.ndarray:
     """Sample the Gaussian limit jointly over ``phis``, shape ``(count, J+1, m)``.
 
     Column ``a`` holds the paths of ``phis[a]``; row ``i`` is one joint draw.
     Increments over disjoint steps are independent with covariance
     ``C(t_{j+1}) - C(t_j)``.  All normals come from one stream keyed by
-    ``(seed, "limit", stream_id)``.
+    ``(seed, "limit", 0)``.
     """
     phis = list(phis)
     if not phis:
         raise ValueError("need at least one test function")
     if count < 1:
         raise ValueError("need at least one path")
-    form = QuadraticForm(phis[0].basis)
-    factors = _sqrt_factors(form.increment_covariances(grid, form._dmat(phis)))
-    z = stream(seed, "limit", stream_id).standard_normal((count, grid.steps, len(phis)))
+    basis = phis[0].basis
+    factors = _limit_factors(grid, basis, QuadraticForm(basis)._dmat(phis))
+    z = stream(seed, "limit", 0).standard_normal((count, grid.steps, len(phis)))
     return _limit_states(factors, z, len(phis))
 
 

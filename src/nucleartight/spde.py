@@ -40,11 +40,10 @@ from .hermite import (
 from .martingales import (
     NumericalIntegrityError,
     ParticleEnsemble,
-    QuadraticForm,
+    _limit_factors,
     _limit_states,
     _mn_dual_states,
     _phi_label,
-    _sqrt_factors,
     map_blocks,
     parallel_map,
     run_blocks,
@@ -214,22 +213,16 @@ def _initial_coeffs(eta, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _limit_factors(grid: TimeGrid, basis: BasisSpec, modes: int) -> np.ndarray:
-    """Increment-covariance square roots for the first ``modes`` coordinates."""
-    dmat = derivative_op(basis)[:, :modes]
-    return _sqrt_factors(QuadraticForm(basis).increment_covariances(grid, dmat))
-
-
-def _limit_driver_chunk(factors: np.ndarray, basis: BasisSpec, seed: int, tag: str, indices) -> np.ndarray:
+def _limit_driver_chunk(factors: np.ndarray, basis: BasisSpec, seed: int, indices) -> np.ndarray:
     """Dual driver states for the given path indices, shape (len, J+1, N).
 
-    Normals are drawn per path from streams keyed by the path index, so the
+    Normals are drawn per path from streams ``("limit", index)``, so the
     draws are independent of chunking and threading.
     """
     steps, modes = factors.shape[0], factors.shape[1]
     z = np.empty((len(indices), steps, modes))
     for c, idx in enumerate(indices):
-        z[c] = stream(seed, tag, int(idx)).standard_normal((steps, modes))
+        z[c] = stream(seed, "limit", int(idx)).standard_normal((steps, modes))
     return _limit_states(factors, z, basis.size)
 
 
@@ -272,8 +265,8 @@ _LIMIT_STATES = 4_000_000
 
 
 class _HeatSolver:
-    """The solve steps the reports share on one grid: initial state, particle
-    or limit driver, mild solution.
+    """The solve steps the reports share on one grid: the initial states and
+    mild solutions of a block of particle- or limit-driven paths.
 
     Every draw comes from a stream keyed by its path.  Both samples go
     through :func:`map_blocks`: particle repetitions in the blocks of
@@ -297,18 +290,10 @@ class _HeatSolver:
     def solve(self, driver_states: np.ndarray, eta: np.ndarray) -> np.ndarray:
         return _mild_states(driver_states, eta, self.e_dt, self.main, self.off, self.grid.dt)
 
-    def particle_block(self, particles: ParticleEnsemble):
-        """``(drivers, etas, solutions)`` of a block of particle repetitions,
-        one row per index of ``particles.stream_id``."""
-        drivers = _mn_dual_states(particles, self.basis)[0]
-        etas = np.array([self.initial("initial", rep) for rep in particles.stream_id])
-        return drivers, etas, self.solve(drivers, etas)
-
-    def limit(self, factors: np.ndarray, indices: range):
-        """``(drivers, etas, solutions)`` of limit paths ``indices``, from the
-        streams tagged ``"limit"`` and ``"limit-initial"``."""
-        drivers = _limit_driver_chunk(factors, self.basis, self.seed, "limit", indices)
-        etas = np.array([self.initial("limit-initial", i) for i in indices])
+    def paths(self, drivers: np.ndarray, tag: str, ids):
+        """``(drivers, etas, solutions)`` of the paths ``ids``, one row each:
+        path ``i`` draws its initial state from the stream ``(tag, i)``."""
+        etas = np.array([self.initial(tag, i) for i in ids])
         return drivers, etas, self.solve(drivers, etas)
 
 
@@ -348,7 +333,8 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
 
     cell_vectors = [(phi.coeffs, grid.index_of(t)) for phi, t in product(phis, times)]
     gate = float(cfg["residual_gate_factor"]) * grid.dt
-    factors = _limit_factors(grid, basis, limit_modes)
+    limit_dmat = derivative_op(basis)[:, :limit_modes]  # the first limit_modes coordinates
+    factors = _limit_factors(grid, basis, limit_dmat)
     solver = _HeatSolver(basis, grid, seed, cfg["eta"])
 
     def reduce(drivers, etas, sols):
@@ -369,15 +355,18 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
         }
 
     # --- limit-driven sample ---------------------------------------------
+    def limit_chunk(ids):
+        return reduce(*solver.paths(_limit_driver_chunk(factors, basis, seed, ids), "limit-initial", ids))
+
     chunk = max(1, _LIMIT_STATES // ((grid.steps + 1) * basis.size))
-    limit_cells, *stats, limit_paths = map_blocks(reps, chunk, threads, lambda ids: reduce(*solver.limit(factors, ids)))
+    limit_cells, *stats, limit_paths = map_blocks(reps, chunk, threads, limit_chunk)
     extras = {"per_n": {}, "limit": {"modes": limit_modes, **summary(*stats)}, "paths": {}}
     if collect_paths:
         extras["paths"]["limit"] = limit_paths
 
     # --- particle-driven samples ------------------------------------------
     def particle_block(particles):
-        return reduce(*solver.particle_block(particles))
+        return reduce(*solver.paths(mn_dual_path(particles, basis), "initial", particles.stream_id))
 
     limit_within = diagnostics.distance_matrix(limit_cells)  # shared by every n
     cells = []
@@ -415,7 +404,7 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
     if cal["reps"] > 0:
         same = cal["steps"] in (None, grid.steps)
         cal_grid = grid if same else TimeGrid(grid.horizon, cal["steps"])
-        cal_factors = factors if same else _limit_factors(cal_grid, basis, limit_modes)
+        cal_factors = factors if same else _limit_factors(cal_grid, basis, limit_dmat)
         # the calibration is a pure null check, so the cell choice is free;
         # the horizon is a node of every grid
         weights, flow = _terminal_weights(cal_factors, basis, cal_grid, phis[0].coeffs)
@@ -461,7 +450,7 @@ def tightness_report(cfg: dict, *, threads: int = 1):
     weights = SeminormIndex(tightness_index).dual_weights(basis.size)
 
     def particle_block(particles):
-        drivers, _, sols = solver.particle_block(particles)
+        drivers, _, sols = solver.paths(mn_dual_path(particles, basis), "initial", particles.stream_id)
         both = np.stack((drivers, sols), axis=1)  # (reps, driver or solution, J+1, N)
         sups, mods = dual_path_stats(both, grid, deltas, tightness_index)
         ends = np.sqrt(np.sum((both[:, :, -1] * weights) ** 2, axis=-1))

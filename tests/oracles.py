@@ -389,7 +389,7 @@ def repetition(particles, r):
     from nucleartight.martingales import ParticleEnsemble
 
     return ParticleEnsemble(
-        particles.count, particles.grid, particles.increments[r], particles.seed, particles.stream_id[r]
+        particles.count, particles.grid, particles.increments[r], particles.stream_id[r]
     )
 
 

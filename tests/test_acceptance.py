@@ -214,7 +214,7 @@ def test_criterion_06_one_dimensional_clt(basis, grid):
 
 def test_criterion_07_fdd_energy_trend(particle_study, basis, grid):
     h0, h1 = unit_function(basis, 0), unit_function(basis, 1)
-    limit = simulate_limit([h0, h1], grid, 2000, SEED, stream_id=0)
+    limit = simulate_limit([h0, h1], grid, 2000, SEED)
     limit_joint = np.column_stack(
         [limit[:, grid.index_of(0.5), 0], limit[:, grid.index_of(1.0), 1]]
     )

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from nucleartight import cli, config, spde
 from nucleartight.diagnostics import SCHEMA, ks_pvalue, ks_two_sample, report_hash, validate_report
+from nucleartight.hermite import derivative_op
 from nucleartight.martingales import NumericalIntegrityError, clt_report
 from nucleartight.paths import TimeGrid
 from nucleartight.spde import heat_convergence_report, tightness_report
@@ -411,6 +412,64 @@ def test_seed_override_changes_bytes(tmp_path):
     assert json.loads((out_b / "report.json").read_text())["metadata"]["seed"] == 99
 
 
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    assert run(["clt", "--config", "clt-smoke", "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "config error: field seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "below-file"])
+def test_out_that_is_no_directory_is_exit_2_before_the_run(tmp_path, monkeypatch, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    out = taken if where == "file" else taken / "o"
+    monkeypatch.setattr(cli, "run_command", None)  # the run must not start
+    assert run(["clt", "--config", "clt-smoke", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(out) in err and err.count("\n") == 1
+    assert taken.read_text() == "a file"
+
+
+@pytest.mark.parametrize("blocked", ["report.json", "cells"])
+def test_failed_output_write_is_exit_2_and_leaves_no_report(tmp_path, capsys, blocked):
+    out = tmp_path / "o"
+    out.mkdir()
+    if blocked == "report.json":
+        (out / blocked).mkdir()
+    else:
+        (out / blocked).write_text("a file")
+    assert run(["clt", "--config", "clt-smoke", "--out", str(out), "--dump-paths"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and str(out / blocked) in err and err.count("\n") == 1
+    assert not (out / "report.json").is_file()
+
+
+HUGE_CLT_TIME = {
+    "basis": {"N": 8, "Q": 16},
+    "grid": {"T": 1e300, "J": 4},
+    "n_list": [2],
+    "reps": 4,
+    "times": [1e300],
+    "tightness": {"deltas": [1e300]},
+}
+
+
+def test_clt_rejects_times_beyond_the_bound(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_CLT_TIME))
+    assert run(["clt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field times:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    bound = config._CLT_MAX_TIME
+    at_bound = {**HUGE_CLT_TIME, "grid": {"T": 2 * bound, "J": 4}, "tightness": {"deltas": [1.0]}}
+    assert config.materialize("clt", {**at_bound, "times": [bound]})["times"] == [bound]
+    with pytest.raises(config.ConfigError, match="^field times:"):
+        config.materialize("clt", {**at_bound, "times": [1.5 * bound]})
+    # heat never evaluates A(t, phi): its E(dt) rule alone bounds its times
+    assert config.materialize("heat", {**at_bound, "times": [1.5 * bound], "limit_modes": 4})["times"] == [1.5 * bound]
+
+
 def test_dump_paths_writes_csv(tmp_path):
     out = tmp_path / "out"
     assert run(["heat", "--config", "heat-smoke", "--out", str(out), "--dump-paths"]) == 0
@@ -461,7 +520,7 @@ def test_golden_calibration_ranks_match_path_built_oracle(name):
     basis, grid = config._basis_from(cfg), config._grid_from(cfg)
     cal_grid = TimeGrid(grid.horizon, cal["steps"])
     phi = config._phis_from(cfg, basis)[0].coeffs
-    factors = spde._limit_factors(cal_grid, basis, cfg["limit_modes"])
+    factors = spde._limit_factors(cal_grid, basis, derivative_op(basis)[:, : cfg["limit_modes"]])
     weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
     solver = spde._HeatSolver(basis, grid, cfg["seed"], cfg["eta"])
     size, pvalues = cal["size"], []

@@ -90,8 +90,8 @@ def test_ks_critical_value_formula():
 
 
 def test_ks_pvalue_sane():
-    assert ks_pvalue(0.0, 1000) == 1.0
-    assert ks_pvalue(0.5, 1000) < 1e-8
+    assert ks_pvalue(0.0, 1000, 1000) == 1.0
+    assert ks_pvalue(0.5, 1000, 1000) < 1e-8
     # scipy applies a small-sample continuity correction; agreement is loose
     # mid-range and tight in the tail that the calibration checks consume
     rng = np.random.default_rng(7)

@@ -564,13 +564,13 @@ def test_limit_samplers_match_parent(basis, count, coeffs, steps):
     form = QuadraticForm(basis)
     factors = _sqrt_factors(form.increment_covariances(grid, form._dmat(phis)))
     assert np.array_equal(
-        simulate_limit(phis, grid, count, 21, stream_id=3),
-        oracles.sample_limit_states(factors, count, 21, 3),
+        simulate_limit(phis, grid, count, 21),
+        oracles.sample_limit_states(factors, count, 21, 0),
     )
     # the heat driver: one stream per path, zero-padded to basis.size columns
     for modes, indices in [(1, range(4)), (5, range(2, 7)), (basis.size, range(3)), (5, [6])]:
-        factors = spde._limit_factors(grid, basis, modes)
-        got = spde._limit_driver_chunk(factors, basis, 21, "limit", indices)
+        factors = spde._limit_factors(grid, basis, derivative_op(basis)[:, :modes])
+        got = spde._limit_driver_chunk(factors, basis, 21, indices)
         assert np.array_equal(got, oracles.limit_driver_chunk(factors, basis, grid, 21, "limit", indices))
 
 

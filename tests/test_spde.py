@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from nucleartight import spde
-from nucleartight.hermite import BasisSpec, DualElement, TestFunction, heat_matrix
+from nucleartight.hermite import BasisSpec, DualElement, TestFunction, derivative_op, heat_matrix
 from nucleartight.martingales import NumericalIntegrityError, simulate_particles
 from nucleartight.paths import TimeGrid, containment_summary, dual_path_stats, modulus_dual, sup_dual_norm
 from nucleartight.spde import (
@@ -338,7 +338,7 @@ def test_calibration_functional_matches_mild_solves(basis, eta_spec, cal_steps, 
     solve it replaced, from the same normals and initial state."""
     cal_grid = TimeGrid(1.0, cal_steps)
     phi = np.r_[0.5, 1.0, np.zeros(basis.size - 2)]
-    factors = spde._limit_factors(cal_grid, basis, modes)
+    factors = spde._limit_factors(cal_grid, basis, derivative_op(basis)[:, :modes])
     # the report samples initial states through its main-grid solver
     solver = spde._HeatSolver(basis, TimeGrid(1.0, 40), 7, eta_spec)
     weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
@@ -411,9 +411,9 @@ def test_heat_multi_chunk_limit_thread_invariance(basis, monkeypatch):
     chunks = []
     driver = spde._limit_driver_chunk
 
-    def recording(factors, basis, seed, tag, indices):
+    def recording(factors, basis, seed, indices):
         chunks.append(len(indices))
-        return driver(factors, basis, seed, tag, indices)
+        return driver(factors, basis, seed, indices)
 
     monkeypatch.setattr(spde, "_limit_driver_chunk", recording)
     cfg = scenario(
