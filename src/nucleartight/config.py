@@ -111,6 +111,9 @@ def _finite(value) -> bool:
 
 def materialize(command: str, cfg: dict) -> dict:
     """Fill defaults and validate every field; raise ConfigError on violations."""
+    _require(command in _DEFAULTS, "command", f"must be one of {sorted(_DEFAULTS)}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("field <root> must be an object")  # as _merge words it
     _require(cfg.get("command", command) == command, "command", f"must be {command!r}")
     # a fresh copy: a caller may edit the config it gets back
     merged = _merge(copy.deepcopy(_DEFAULTS[command]), {k: v for k, v in cfg.items() if k != "threads"})

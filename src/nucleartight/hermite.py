@@ -380,12 +380,11 @@ def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
     :func:`_expm`), so the semigroup law holds to rounding error.  At huge
     times (``5e38`` at ``N = 8``) the powers of ``t L`` that choose the
     scaling overflow, and a non-finite result raises ``ValueError``.
-    Cached: a config check and the solver it admits ask for the same step.
+    Cached: a config check and the mild solver it admits ask for the same
+    step (the solver keys it by ``BasisSpec(N, 2N)``, the default ``Q``).
     """
     if t < 0:
         raise ValueError("time must be >= 0")
-    if t == 0.0:
-        return _as_readonly(np.eye(basis.size))
     e = _expm(t * laplacian_op(basis))
     if not np.all(np.isfinite(e)):
         raise ValueError(f"heat semigroup at time {t!r} is not finite")

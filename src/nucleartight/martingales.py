@@ -162,11 +162,13 @@ def _mn_qv_steps(dcoef: np.ndarray, particles: ParticleEnsemble, modes=None):
     return mn_steps, qv_steps
 
 
-def _cumulative(steps: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis, from a leading zero."""
-    out = np.empty(steps.shape[:-1] + (steps.shape[-1] + 1,))
-    out[..., 0] = 0.0
-    np.cumsum(steps, axis=-1, out=out[..., 1:])
+def _cumulative(steps: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Running sums along ``axis``, from a leading exact zero."""
+    axis %= steps.ndim
+    lead = (slice(None),) * axis
+    out = np.empty(steps.shape[:axis] + (steps.shape[axis] + 1,) + steps.shape[axis + 1 :])
+    out[lead + (0,)] = 0.0
+    np.cumsum(steps, axis=axis, out=out[lead + (slice(1, None),)])
     return out
 
 
@@ -262,7 +264,7 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0
     axes = (1,) * (len(batch) + 1)
     ladder = np.sqrt(np.arange(1, n_modes) / 2.0).reshape((-1,) + axes)
     factors = _mode_factors(n_modes, keep)[0].reshape((-1,) + axes)
-    for a, b in _time_blocks(steps, _DRIVER_VALUES // (math.prod(batch) * particles.count)):
+    for a, b in _time_blocks(steps, _DRIVER_VALUES // max(1, math.prod(batch) * particles.count)):
         # contract particles mode by mode as the recurrence yields them,
         # s[k, ..., j] = sum_i h_k(B^i_j) dB^i_j, then apply the derivative ladder
         # h'_k = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1} (truncated at the top)
@@ -278,10 +280,7 @@ def _mn_dual_states(particles: ParticleEnsemble, basis: BasisSpec, keep: int = 0
         contrib[1:] = ladder * s[:-1]
         contrib[: n_modes - 1] -= ladder * s[1:]
         dmn[..., a:b, :] = np.moveaxis(contrib, 0, -1) / root_n
-    states = np.empty(batch + (steps + 1, n_modes))
-    states[..., 0, :] = 0.0
-    np.cumsum(dmn, axis=-2, out=states[..., 1:, :])
-    return states, modes
+    return _cumulative(dmn, axis=-2), modes
 
 
 # ---------------------------------------------------------------------------

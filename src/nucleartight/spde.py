@@ -40,6 +40,7 @@ from .hermite import (
 from .martingales import (
     NumericalIntegrityError,
     ParticleEnsemble,
+    _cumulative,
     _limit_factors,
     _limit_states,
     _mn_dual_states,
@@ -116,22 +117,7 @@ def sample_initial(
 # ---------------------------------------------------------------------------
 
 
-def _apply_laplacian(states: np.ndarray, main: np.ndarray, off: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Pentadiagonal ``states @ Lap`` along the last axis (Lap symmetric), into ``out``."""
-    out = np.multiply(states, main, out=out)
-    out[..., :-2] += states[..., 2:] * off
-    out[..., 2:] += states[..., :-2] * off
-    return out
-
-
-def _mild_states(
-    driver_states: np.ndarray,
-    eta_coeffs: np.ndarray,
-    e_dt: np.ndarray,
-    main: np.ndarray,
-    off: np.ndarray,
-    dt: float,
-) -> np.ndarray:
+def _mild_states(driver_states: np.ndarray, eta_coeffs: np.ndarray, dt: float) -> np.ndarray:
     """Mild-solution states for a batch: shapes (..., J+1, N) and (..., N).
 
     One accumulator carries the initial state and the left-point Duhamel
@@ -141,20 +127,27 @@ def _mild_states(
     ``matmul`` into the contiguous row of ``Lap M`` it has just consumed.
     Every step operand carries a unit axis before ``N``, so each ``matmul``
     runs one matrix-vector product per path: every path of any batch gets
-    the bits of its lone solve, which are the bits of the per-step form.  An
-    overflowing ``eta / dt`` raises :class:`NumericalIntegrityError`.
+    the bits of its lone solve, which are the bits of the per-step form.
+    ``Lap`` and ``E(dt)`` depend on ``N`` and ``dt`` alone.  An overflowing
+    ``eta / dt`` raises :class:`NumericalIntegrityError`.
     """
     with np.errstate(over="ignore"):
         start = eta_coeffs / dt
     if not np.all(np.isfinite(start)):
         raise NumericalIntegrityError(f"initial state over dt = {dt!r} overflows")
-    rows = driver_states.shape[-2]
+    rows, size = driver_states.shape[-2:]
+    basis = BasisSpec(size, 2 * size)
+    lap, e_dt = laplacian_op(basis), heat_matrix(dt, basis)
+    main, off = np.diagonal(lap).copy(), np.diagonal(lap, offset=2).copy()
     out = np.empty(driver_states.shape)
     drv, tm = np.moveaxis(driver_states, -2, 0), np.moveaxis(out, -2, 0)  # (J+1, ..., N) views
-    # row j - 1 holds Lap M_{t_{j-1}} until step j overwrites it with D_j
-    # (row J is never read; a buffer of the driver's size lets the allocator
-    # reuse it for the next path's arrays)
-    duhamel = _apply_laplacian(drv, main, off, np.empty(drv.shape))[:-1]
+    # row j - 1 holds Lap M_{t_{j-1}} (pentadiagonal, Lap symmetric) until
+    # step j overwrites it with D_j (row J is never read; a buffer of the
+    # driver's size lets the allocator reuse it for the next path's arrays)
+    lap_m = np.multiply(drv, main, out=np.empty(drv.shape))
+    lap_m[..., :-2] += drv[..., 2:] * off
+    lap_m[..., 2:] += drv[..., :-2] * off
+    duhamel = lap_m[:-1]
     tm[0] = eta_coeffs + drv[0]
     steps = duhamel[..., None, :]  # (J, ..., 1, N) view
     acc, prev = np.empty(steps.shape[1:]), start[..., None, :]
@@ -171,10 +164,7 @@ def mild_solution(driver, eta, grid: TimeGrid) -> np.ndarray:
     initial coefficients ``eta`` (broadcasting to ``(..., N)``).  Every path
     of a block gets the bits of its lone solve."""
     driver = _dual_states(driver, grid, "driver")
-    size = driver.shape[-1]
-    eta = _initial_coeffs(eta, driver.shape[:-2] + (size,))
-    # the Laplacian and the semigroup depend on the truncation size alone
-    return _HeatSolver(BasisSpec(size, 2 * size), grid).solve(driver, eta)
+    return _mild_states(driver, _initial_coeffs(eta, driver.shape[:-2] + driver.shape[-1:]), grid.dt)
 
 
 def weak_form_residual(solution, driver, eta, phi: TestFunction, grid: TimeGrid) -> np.ndarray:
@@ -194,8 +184,7 @@ def weak_form_residual(solution, driver, eta, phi: TestFunction, grid: TimeGrid)
     start = eta[..., None, :] @ phi.coeffs  # (..., 1)
     y = y_states @ phi.coeffs
     integrand = y_states @ (laplacian_op(phi.basis) @ phi.coeffs)
-    integral = np.zeros_like(y)
-    np.cumsum(0.5 * grid.dt * (integrand[..., 1:] + integrand[..., :-1]), axis=-1, out=integral[..., 1:])
+    integral = _cumulative(0.5 * grid.dt * (integrand[..., 1:] + integrand[..., :-1]))
     defect = y - start - integral - m_states @ phi.coeffs
     return np.max(np.abs(defect), axis=-1)
 
@@ -242,8 +231,7 @@ def _terminal_weights(
     flows[0] = phi
     for k in range(1, grid.steps + 1):
         flows[k] = e_dt @ flows[k - 1]
-    tails = np.zeros((grid.steps, basis.size))  # tails[i] = sum_{k=1..i} Lap E(k dt) phi
-    np.cumsum(flows[1:-1] @ lap, axis=0, out=tails[1:])
+    tails = _cumulative(flows[1:-1] @ lap, axis=0)  # tails[i] = sum_{k=1..i} Lap E(k dt) phi
     v = phi + grid.dt * tails[::-1]
     return np.einsum("jkm,jk->jm", factors, v[:, : factors.shape[1]]), flows[-1]
 
@@ -276,25 +264,17 @@ class _HeatSolver:
     so no result depends on the block or chunk sizes or on threading.
     """
 
-    def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int = 0, eta_spec=None):
-        self.basis, self.grid, self.seed = basis, grid, seed
-        self.eta_spec = eta_spec
-        lap = laplacian_op(basis)
-        self.main, self.off = np.diagonal(lap).copy(), np.diagonal(lap, offset=2).copy()
-        self.e_dt = heat_matrix(grid.dt, basis)
+    def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int, eta_spec: dict):
+        self.basis, self.grid, self.seed, self.eta_spec = basis, grid, seed, eta_spec
 
     def initial(self, tag: str, *ids: int) -> np.ndarray:
-        keys = {"basis": self.basis, "seed": self.seed, "stream_id": ids, "tag": tag}
-        return sample_initial(**keys, **self.eta_spec).coeffs
-
-    def solve(self, driver_states: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        return _mild_states(driver_states, eta, self.e_dt, self.main, self.off, self.grid.dt)
+        return sample_initial(basis=self.basis, seed=self.seed, stream_id=ids, tag=tag, **self.eta_spec).coeffs
 
     def paths(self, drivers: np.ndarray, tag: str, ids):
         """``(drivers, etas, solutions)`` of the paths ``ids``, one row each:
         path ``i`` draws its initial state from the stream ``(tag, i)``."""
         etas = np.array([self.initial(tag, i) for i in ids])
-        return drivers, etas, self.solve(drivers, etas)
+        return drivers, etas, _mild_states(drivers, etas, self.grid.dt)
 
 
 # ---------------------------------------------------------------------------

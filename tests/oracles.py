@@ -247,11 +247,12 @@ def mn_dual_states_full(particles, basis):
     return states
 
 
-def mild_states_loop(driver_states, eta_coeffs, e_dt, main, off, dt):
+def mild_states_loop(driver_states, eta_coeffs, e_dt, lap, dt):
     """``spde._mild_states`` as a per-step loop on batch-major rows: one
     accumulator started at ``eta / dt`` carries the initial state and the
     Duhamel sum, ``Y_j = dt D_j + M_j``.  A bit-for-bit reference, so it
-    keeps the kernel's operators and order."""
+    keeps the kernel's operators and order: ``Lap`` applied by its bands."""
+    main, off = np.diagonal(lap), np.diagonal(lap, offset=2)
     lm = driver_states * main
     lm[..., :-2] += driver_states[..., 2:] * off
     lm[..., 2:] += driver_states[..., :-2] * off
@@ -264,15 +265,14 @@ def mild_states_loop(driver_states, eta_coeffs, e_dt, main, off, dt):
     return out
 
 
-def mild_states_longdouble(driver_states, eta_coeffs, e_dt, main, off, dt):
+def mild_states_longdouble(driver_states, eta_coeffs, e_dt, lap, dt):
     """The mild form in long double from the same float64 ``E(dt)`` and
     ``Lap``, with the flow ``E(t_j) eta`` and the left-point Duhamel sum kept
     separate: ``Y_j = E(t_j) eta + dt sum_{l<j} E(t_j - t_l) Lap M_l + M_j``.
     One path, ``(J+1, N)``; an accuracy reference, not a bit reference."""
     ld = np.longdouble
     e_dt, m = e_dt.astype(ld), driver_states.astype(ld)
-    lap = np.diag(main.astype(ld)) + np.diag(off.astype(ld), 2) + np.diag(off.astype(ld), -2)
-    lm = m @ lap
+    lm = m @ lap.astype(ld)
     out = np.empty_like(m)
     flow = eta_coeffs.astype(ld)
     duhamel = np.zeros_like(flow)
@@ -319,7 +319,7 @@ def calibration_sample_paths(basis, cal_grid, factors, phi, seed, eta_spec, rep,
     drivers on the calibration grid, in the chunks the limit generator formed,
     one mild solve per chunk, read at ``<Y_T, phi>``.  A bit-for-bit reference
     for the old report, so it reuses the package's solver and initial sampler."""
-    from nucleartight.spde import _HeatSolver
+    from nucleartight.spde import _HeatSolver, _mild_states
 
     solver = _HeatSolver(basis, cal_grid, seed, eta_spec)
     chunk = max(1, 4_000_000 // ((cal_grid.steps + 1) * basis.size))
@@ -328,7 +328,7 @@ def calibration_sample_paths(basis, cal_grid, factors, phi, seed, eta_spec, rep,
         idx = range(a, min(a + chunk, size))
         drivers = limit_driver_chunk(factors, basis, cal_grid, seed, "calibration", idx, (rep, side))
         etas = np.array([solver.initial("calibration-initial", rep, side, i) for i in idx])
-        out.extend(sol[-1] @ phi for sol in solver.solve(drivers, etas))
+        out.extend(sol[-1] @ phi for sol in _mild_states(drivers, etas, cal_grid.dt))
     return np.array(out)
 
 

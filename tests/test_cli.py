@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -322,6 +323,24 @@ def test_rejects_grid_whose_step_semigroup_overflows(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert f"config error: field {field}: heat semigroup at time" in err and "internal error" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg", [[], None, "clt", 3], ids=["list", "null", "string", "number"])
+@pytest.mark.parametrize(
+    "entry",
+    [clt_report, heat_convergence_report, tightness_report, lambda cfg: cli.run_command("clt", cfg)],
+    ids=["clt", "heat", "tightness", "run-command"],
+)
+def test_non_object_config_is_a_config_error(entry, cfg):
+    with pytest.raises(config.ConfigError, match=r"^field <root> must be an object$"):
+        entry(cfg)
+
+
+@pytest.mark.parametrize("entry", [config.materialize, cli.run_command], ids=["materialize", "run-command"])
+def test_unknown_command_is_a_config_error(entry):
+    commands = "['basis-check', 'clt', 'heat', 'tightness']"
+    with pytest.raises(config.ConfigError, match=re.escape(f"field command: must be one of {commands}")):
+        entry("nope", {})
 
 
 @pytest.mark.parametrize("name", sorted(cli._bundled_scenarios()))

@@ -236,6 +236,17 @@ def test_heat_matrix_basics(basis64):
         heat_matrix(-0.1, basis64)
 
 
+@pytest.mark.parametrize("size", [2, 64])
+@pytest.mark.parametrize("t", [0.0, -0.0], ids=["zero", "negative-zero"])
+def test_heat_matrix_at_zero_is_the_identity_without_negative_zeros(size, t):
+    """``E(0)`` comes from the Pade rule like any other time: exactly ``I``,
+    with no ``-0.0`` that a matrix CSV would print.  The cache treats ``0.0``
+    and ``-0.0`` as one key, so the uncached function is checked too."""
+    basis = BasisSpec(size, 2 * size)
+    for e in (heat_matrix(t, basis), heat_matrix.__wrapped__(t, basis)):
+        assert np.array_equal(e, np.eye(size)) and not np.signbit(e).any()
+
+
 # largest |heat_matrix - scipy.linalg.expm| relative to the largest entry of
 # the reference; the measured worst over the grid below is 4.6e-15
 EXPM_TOL = 1e-14

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from nucleartight import spde
-from nucleartight.hermite import BasisSpec, DualElement, TestFunction, derivative_op, heat_matrix
+from nucleartight.hermite import BasisSpec, DualElement, TestFunction, derivative_op, heat_matrix, laplacian_op
 from nucleartight.martingales import NumericalIntegrityError, simulate_particles
 from nucleartight.paths import TimeGrid, containment_summary, dual_path_stats, modulus_dual, sup_dual_norm
 from nucleartight.spde import (
@@ -52,6 +52,15 @@ def test_dual_path_matches_scalar_sums(basis, grid):
 def test_dual_path_starts_at_zero(basis, grid):
     dual = mn_dual_path(simulate_particles(10, grid, 3), basis)
     assert np.all(dual[0] == 0.0)
+
+
+def test_empty_block_gives_empty_paths():
+    """A block of no repetitions gives ``(0, ...)`` paths from every path function."""
+    basis, block = BasisSpec(4, 8), simulate_particles(3, TimeGrid(1.0, 10), 1, range(0))
+    assert mn_dual_path(block, basis).shape == (0, 11, 4)
+    phi = TestFunction(basis, np.ones(4))
+    for path in (mn_scalar_path, quadratic_variation_path):
+        assert path(phi, block).shape == (0, 11)
 
 
 # n * J is odd, so contractions whose length is not a multiple of 4 are
@@ -175,7 +184,8 @@ def test_mild_states_match_per_step_loop(lead, nonzero_eta):
     rng = np.random.default_rng(len(lead))
     for size in (6, 17, 18, 67):
         shape = lead + (31, size)
-        solver = spde._HeatSolver(BasisSpec(size, 2 * size), TimeGrid(1.0, 30))
+        basis, dt = BasisSpec(size, 2 * size), TimeGrid(1.0, 30).dt
+        ops = (heat_matrix(dt, basis), laplacian_op(basis), dt)
         driver = np.cumsum(rng.standard_normal(shape), axis=-2)
         driver[..., 0, :] = 0.0
         eta = np.zeros(lead + (size,))
@@ -184,8 +194,7 @@ def test_mild_states_match_per_step_loop(lead, nonzero_eta):
             # zero and nonzero initial states
             eta[...] = rng.standard_normal(eta.shape)
             eta.reshape(-1, size)[:-1:2] = 0.0
-        ops = (solver.e_dt, solver.main, solver.off, solver.grid.dt)
-        got = spde._mild_states(driver, eta, *ops)
+        got = spde._mild_states(driver, eta, dt)
         assert got.shape == shape and got.flags.c_contiguous
         for path in np.ndindex(lead):
             want = oracles.mild_states_loop(driver[path], eta[path], *ops)
@@ -199,13 +208,12 @@ def test_mild_states_near_long_double_mild_form(size, steps, nonzero_eta):
     long-double evaluation of the mild form with its flow and its Duhamel sum
     kept apart, on the same float64 ``E(dt)`` and ``Lap``."""
     rng = np.random.default_rng(size)
-    solver = spde._HeatSolver(BasisSpec(size, 2 * size), TimeGrid(1.0, steps))
+    basis, dt = BasisSpec(size, 2 * size), TimeGrid(1.0, steps).dt
     driver = np.cumsum(rng.standard_normal((steps + 1, size)), axis=0) / np.sqrt(steps)
     driver[0] = 0.0
     eta = rng.standard_normal(size) * (2.0 * np.arange(size) + 1.0) ** -1.0 if nonzero_eta else np.zeros(size)
-    ops = (solver.e_dt, solver.main, solver.off, solver.grid.dt)
-    got = spde._mild_states(driver, eta, *ops)
-    want = oracles.mild_states_longdouble(driver, eta, *ops)
+    got = spde._mild_states(driver, eta, dt)
+    want = oracles.mild_states_longdouble(driver, eta, heat_matrix(dt, basis), laplacian_op(basis), dt)
     assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
 
 
