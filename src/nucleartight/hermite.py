@@ -349,29 +349,20 @@ def project_function(samples, basis: BasisSpec) -> TestFunction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def derivative_op(basis: BasisSpec) -> np.ndarray:
     """Matrix of d/dx on coefficients: skew-symmetric, bidiagonal.
 
     Column ``k`` carries ``sqrt(k/2)`` in row ``k-1`` and ``-sqrt((k+1)/2)``
     in row ``k+1`` (the ladder identity for the derivative of ``h_k``).
     """
-    n = basis.size
-    d = np.zeros((n, n))
-    k = np.arange(1, n)
-    d[k - 1, k] = np.sqrt(k / 2.0)
-    d[k, k - 1] = -np.sqrt(k / 2.0)
-    return _as_readonly(d)
+    return _derivative_op(basis.size)
 
 
-@lru_cache(maxsize=32)
 def laplacian_op(basis: BasisSpec) -> np.ndarray:
     """Second-derivative matrix ``L = D @ D``: symmetric, <= 0, bandwidth 2."""
-    d = derivative_op(basis)
-    return _as_readonly(d @ d)
+    return _laplacian_op(basis.size)
 
 
-@lru_cache(maxsize=32)
 def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
     """Heat semigroup ``E(t) = exp(t L)`` on coefficients (read-only).
 
@@ -380,12 +371,33 @@ def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
     :func:`_expm`), so the semigroup law holds to rounding error.  At huge
     times (``5e38`` at ``N = 8``) the powers of ``t L`` that choose the
     scaling overflow, and a non-finite result raises ``ValueError``.
-    Cached: a config check and the mild solver it admits ask for the same
-    step (the solver keys it by ``BasisSpec(N, 2N)``, the default ``Q``).
     """
     if t < 0:
         raise ValueError("time must be >= 0")
-    e = _expm(t * laplacian_op(basis))
+    return _heat_matrix(t, basis.size)
+
+
+# The operators are cached on the basis size alone: none reads the quadrature
+# order, so a config check on BasisSpec(N, Q) and the mild solver on
+# BasisSpec(N, 2N) share one E(dt).
+@lru_cache(maxsize=32)
+def _derivative_op(size: int) -> np.ndarray:
+    d = np.zeros((size, size))
+    k = np.arange(1, size)
+    d[k - 1, k] = np.sqrt(k / 2.0)
+    d[k, k - 1] = -np.sqrt(k / 2.0)
+    return _as_readonly(d)
+
+
+@lru_cache(maxsize=32)
+def _laplacian_op(size: int) -> np.ndarray:
+    d = _derivative_op(size)
+    return _as_readonly(d @ d)
+
+
+@lru_cache(maxsize=32)
+def _heat_matrix(t: float, size: int) -> np.ndarray:
+    e = _expm(t * _laplacian_op(size))
     if not np.all(np.isfinite(e)):
         raise ValueError(f"heat semigroup at time {t!r} is not finite")
     return _as_readonly(e)

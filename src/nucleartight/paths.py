@@ -11,21 +11,23 @@ quantitative inputs for the compact-containment diagnostics: a family of
 paths is empirically tight when the sup-norm exceedance frequencies stay
 small at a fixed level and the modulus quantiles decay as the time gap
 shrinks.  :func:`dual_path_stats` computes both for a batch of paths.  It
-weights the states once and, per path, bounds then verifies: one blocked
-Gram product estimates the squared increment of every grid pair up to the
-largest lag any requested gap allows, and only the pairs whose estimate
-lies within a rigorous rounding slack of the best one at their gap are
-reduced exactly (subtract, square, row sum), so every value is bit-identical
-to a dense per-lag loop and independent of the BLAS kernel or its threads.
-The dense loop itself still runs where it is cheaper: when the largest lag
-is short, and on paths whose estimates cancel to noise, where too many pairs
-stay candidates.
+weights the states once and, per path, bounds then verifies: one float32
+GEMM per block of rows, on rows augmented with their squared norms, yields
+the estimate ``|x_a|^2 + |x_b|^2 - 2 <x_a, x_b>`` of the squared increment
+of every grid pair up to the largest lag any requested gap allows, and only
+the pairs whose estimate lies within a rigorous rounding slack of the best
+one at their gap are reduced exactly (subtract, square, row sum), so every
+value is bit-identical to a dense per-lag loop and independent of the BLAS
+kernel or its threads.  The dense loop itself still runs where it is
+cheaper or the only sound choice: when the largest lag is short, on paths
+whose estimates cancel to noise, where too many pairs stay candidates, and
+on paths too large or too small for float32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,7 +111,8 @@ def dual_path_stats(states, grid: TimeGrid, deltas, r):
     per-lag loop reduces it (subtract, square, row sum), and the square root
     is monotone, so the values are bit-identical to such a loop.  When the
     largest lag is below ``_PRUNE_MIN_LAG`` that loop runs over the whole
-    band; otherwise each path goes through :func:`_pruned_best`.
+    band; otherwise each path goes through :func:`_pruned_best`, and all
+    paths of the call share one float32 workspace.
     """
     s = _dual_states(states, grid)
     lags = [_max_lag(grid, float(d)) for d in deltas]
@@ -120,22 +123,25 @@ def dual_path_stats(states, grid: TimeGrid, deltas, r):
     if top < _PRUNE_MIN_LAG:
         return sup, np.sqrt(_dense_best(s, top)[..., lags])
     flat, flat_sq = s.reshape((-1,) + s.shape[-2:]), sq.reshape(-1, s.shape[-2])
+    work = _screen_buffers(*s.shape[-2:], top)
     best = np.empty((flat.shape[0], len(lags)))
     for p, (x, x_sq) in enumerate(zip(flat, flat_sq)):
-        pruned = _pruned_best(x, x_sq, lags)
+        pruned = _pruned_best(x, x_sq, lags, work)
         best[p] = _dense_best(x, top)[lags] if pruned is None else pruned
     return sup, np.sqrt(best.reshape(s.shape[:-2] + (len(lags),)))
 
 
-# Below this largest lag the dense loop is faster than the Gram bound, and
+# Below this largest lag the dense loop is faster than the Gram screen, and
 # above this share of the band as candidates so is the dense loop; both were
 # measured by the lag and share sweeps recorded in CHANGES.md.
 _PRUNE_MIN_LAG = 16
 _PRUNE_MAX_SHARE = 0.05
-# rows per Gram block: one block holds rows * (rows + lag - 1) dot products
-_GRAM_ROWS = 128
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).smallest_subnormal
+# rows per Gram block: one block holds rows * (rows + lag - 1) estimates
+_GRAM_ROWS = 96
+_EPS32 = float(np.finfo(np.float32).eps)
+# the range of a path's largest squared row norm M in which float32 holds
+# every estimate without overflow, and underflow stays far below the slack
+_PEAK_RANGE = (1e-30, 1e30)
 
 
 def _dense_best(s, top: int) -> np.ndarray:
@@ -153,80 +159,122 @@ def _dense_best(s, top: int) -> np.ndarray:
     return best
 
 
-def _gram_bound(x: np.ndarray, sq: np.ndarray, top: int) -> np.ndarray:
-    """``approx[j, k] = n_j + n_{j+k+1} - 2 <x_j, x_{j+k+1}>`` with shape
-    ``(J+1, top)``, where ``n = sq`` are the squared row norms of ``x``;
-    entries past the end of the path are ``-inf``.
+def _screen_buffers(rows: int, width: int, top: int):
+    """Float32 workspace of :func:`_pruned_best` for paths ``(rows, width)``
+    up to lag ``top``: ``left`` for rows ``[x_a, n_a, 1]``, ``right`` for
+    rows ``[-2 x_b, 1, n_b]`` followed by ``top`` padding rows ``[0, 1, pad]``
+    (the constant columns set here, once), and per block of ``_GRAM_ROWS``
+    rows ``a:b`` its Gram product's output view ``(b - a, b - a + top - 1)``
+    and band view ``(b - a, top)``, both on one shared buffer."""
+    left = np.empty((rows, width + 2), np.float32)
+    left[:, -1] = 1.0
+    right = np.zeros((rows + top, width + 2), np.float32)
+    right[:, -2] = 1.0
+    height = min(_GRAM_ROWS, rows)
+    buf = np.empty(height * (height + top - 1), np.float32)
 
-    The dot products come from row blocks of the Gram matrix,
-    ``x[a:b] @ x[a+1 : b+top].T``, read along their diagonal band, so no
-    ``(J+1)^2`` matrix is ever held.
-    """
-    rows = x.shape[0]
-    xpad = np.zeros((rows + top, x.shape[1]))
-    xpad[:rows] = x
-    npad = np.zeros(rows + top)
-    npad[:rows] = sq
-    approx = sq[:, None] + sliding_window_view(npad[1:], top)[:rows]
-    for a in range(0, rows, _GRAM_ROWS):
-        b = min(a + _GRAM_ROWS, rows)
-        gram = xpad[a:b] @ xpad[a + 1 : b + top].T
-        # gram[i, i + k] = <x_{a+i}, x_{a+i+k+1}>: flat stride (b - a) + top
-        approx[a:b] -= 2.0 * sliding_window_view(gram.ravel(), top)[:: b - a + top]
-    # row J + 1 - top + i reaches past the end from column top - 1 - i on
-    tail = approx[rows - top :]
-    tail[np.add.outer(np.arange(top), np.arange(top)) >= top - 1] = -np.inf
-    return approx
+    def views(h):
+        g = buf[: h * (h + top - 1)]
+        # g[i, i + k] is the pair (a + i, a + i + k + 1): flat stride h + top
+        return g.reshape(h, -1), sliding_window_view(g, top)[:: h + top]
+
+    full = views(height)
+    spans = [(a, min(a + height, rows)) for a in range(0, rows, height)]
+    return left, right, [(a, b, *(full if b - a == height else views(b - a))) for a, b in spans]
 
 
-def _pruned_best(x: np.ndarray, sq: np.ndarray, lags) -> np.ndarray | None:
+def _pruned_best(x: np.ndarray, sq: np.ndarray, lags, work) -> np.ndarray | None:
     """The largest squared increment of one path ``x`` (shape ``(J+1, N)``)
     over at most ``lag`` steps, for each of ``lags``; ``None`` when the
-    dense loop is the cheaper way to get it.
+    dense loop is the cheaper (or the only sound) way to get it.  ``sq`` holds
+    the float64 squared row norms ``n`` of ``x`` and ``work`` comes from
+    :func:`_screen_buffers`.
 
-    Bound, then verify.  :func:`_gram_bound` gives every pair an estimate
-    ``approx`` of its squared increment, and only the pairs whose estimate
-    is within ``slack`` of the best estimate at their lag are reduced
-    exactly.  With ``u = eps / 2``, ``g_k = k u / (1 - k u)``,
-    ``M = max_j n_j`` and, for rows ``a, b``, ``A = |a|^2``, ``B = |b|^2``,
-    ``D = |b - a|^2 <= 2 (A + B) <= 4 M`` in exact arithmetic on the stored
-    rows, the standard bounds for sums and dot products of ``N`` terms in
-    any order (any BLAS kernel or thread count, with or without fused
-    multiply-add) give
+    Bound, then verify.  With ``left`` rows ``[x_a, n_a, 1]`` and ``right``
+    rows ``[-2 x_b, 1, n_b]`` in float32, one GEMM per block of
+    ``_GRAM_ROWS`` rows gives every pair ``(a, b)`` up to the largest lag
+    the estimate ``n_a + n_b - 2 <x_a, x_b>`` of its squared increment.
+    A first pass keeps each block's column maxima, which give the best
+    estimate at each lag; a second pass forms the product again only for
+    the blocks that reach a threshold, and only pairs whose estimate lies
+    within ``slack`` of the best at their lag are reduced exactly.
 
-    * each computed row norm is within ``g_N A`` of ``A``;
-    * the computed ``<a, b>`` is within ``g_N sum |a_i b_i| <= g_N (A+B)/2``;
-    * the sum ``n_a + n_b`` and the subtraction of ``2 <a, b>`` (doubling
-      is exact) round once each, adding ``u (A+B)`` and ``2 u (A+B)`` to
-      first order, so ``|approx - D| <= (2 g_N + 3 u) (A+B)``, below
-      ``(2N+3) eps M``;
-    * the exact reduction (subtract, square, sum of ``N`` nonnegative
-      terms) is within ``g_{N+2} D <= 2 (N+2) eps M`` of ``D``.
+    The bound.  Let ``u = eps32 / 2``, ``g_k = k u / (1 - k u)``, ``t`` the
+    smallest normal float32, ``M = max_j n_j`` and, for rows ``a, b``,
+    ``A = |x_a|^2``, ``B = |x_b|^2`` and ``D = |x_b - x_a|^2 <= 2 (A + B)
+    <= 4 M`` in exact arithmetic on the stored float64 rows.
 
-    So ``e = |approx - value| < (4N + 7) eps M`` to first order in ``N u``.
-    The pair holding the maximum value ``v*`` has ``approx >= v* - e``
-    and every pair has ``approx <= v* + e``, so it lies within ``2e`` of
-    the best estimate.  ``slack = 32 (N + 4) (eps M + tiny)`` is more than
-    ``2e`` with room for the higher-order terms and for ``M`` itself being
-    computed; ``tiny``, the smallest subnormal, covers the absolute error
-    of products that underflow (each below ``tiny / 2``).  Paths whose
-    squares could overflow go to the dense loop.
+    * Row norms: each float64 ``n_a`` is within ``g64_N A`` of ``A``.
+    * Conversion: every float32 copy of an entry ``v`` of ``x`` or ``n`` is
+      within ``u |v| + t`` of it (``t`` covers underflow, flushed or
+      gradual), and ``-2`` times a float32 copy is exact, so ``n_a`` and
+      ``n_b`` move by ``u (A + B)`` and ``-2 <x_a, x_b>`` by
+      ``(2u + u^2) (A + B)``: about ``3 u (A + B)``, plus absolute terms
+      below ``5 t sqrt(N M) + 3 t``.
+    * Accumulation: the GEMM sums ``N + 2`` products in some order, with or
+      without fused multiply-add, on any kernel or thread count; that is
+      within ``g_{N+2}`` times the sum of their magnitudes,
+      ``n_a + n_b + 2 sum |x_ai x_bi| <= 2 (A + B)`` to first order, plus
+      at most ``t`` for each of the ``2N + 3`` products and sums that
+      underflow.
+    * Exact reduction: subtract, square and sum ``N`` nonnegative terms in
+      float64 is within ``g64_{N+2} D <= 2 (N + 2) eps64 M`` of ``D``.
+
+    ``A + B <= 2 M`` and ``eps64 < eps32 / 2^28``, so
+    ``e = |estimate - value| < (2N + 8) eps32 M`` plus the absolute terms.
+    ``M > 1e-30`` puts those below ``(0.2 N + 1) eps32 M``, and ``M < 1e30``
+    keeps every entry and partial sum (at most ``5 M + 1`` in magnitude)
+    finite in float32.
+    The pair holding the maximum value ``v*`` at a lag has an estimate of at
+    least ``v* - e``, every pair at most ``v* + e``, so it lies within
+    ``2e < (5N + 18) eps32 M`` of the best estimate; ``slack = 32 (N + 4)
+    eps32 M`` exceeds that with room for higher-order terms, for ``M`` and
+    the thresholds being computed.  The second GEMM of a block obeys the
+    same bound on its own, so forming a product again is sound even if its
+    bits differ.
+
+    The padding.  ``right`` ends in ``top`` rows ``[0, 1, -(4M + 1)]``, so a
+    pair reaching past the end of the path estimates ``n_a - (4M + 1)``
+    with one rounding: below ``-2 M``.  Every real estimate is at least
+    ``-e``, so every threshold is above ``-e - slack > -1.5 slack``, and
+    ``slack < M`` (any ``N`` below 262,140) keeps padding pairs below it.
+    Paths with ``M`` outside ``_PEAK_RANGE`` or ``slack >= M`` (an all-zero
+    path among them) go to the dense loop.
     """
+    left, right, blocks = work
     rows, width = x.shape
     top = max(lags)
     peak = sq.max()
-    if not np.isfinite(16.0 * peak):
+    slack = 32.0 * (width + 4) * _EPS32 * peak
+    if not (_PEAK_RANGE[0] < peak < _PEAK_RANGE[1] and slack < peak):
         return None
-    slack = 32.0 * (width + 4) * (_EPS * peak + _TINY)
-    approx = _gram_bound(x, sq, top)
-    running = np.maximum.accumulate(approx.max(axis=0))
+    left[:, :width] = x
+    left[:, width] = sq
+    np.multiply(left[:, :width], -2, out=right[:rows, :width])
+    right[:rows, -1] = sq
+    right[rows:, -1] = -(4.0 * peak + 1.0)
+
+    def band(block):
+        """``band[i, k]`` estimates the pair ``(a + i, a + i + k + 1)``."""
+        a, b, out, view = block
+        np.matmul(left[a:b], right[a + 1 : b + top].T, out=out)
+        return view
+
+    peaks = np.array([band(block).max(axis=0) for block in blocks])
+    running = np.maximum.accumulate(peaks.max(axis=0)).astype(float)
     wanted = np.array(sorted({lag for lag in lags if lag > 0}))
     # a pair at lag k + 1 counts for the smallest requested lag >= k + 1,
     # whose threshold is the lowest among the lags it belongs to
     thresholds = (running[wanted - 1] - slack)[np.searchsorted(wanted, np.arange(1, top + 1))]
-    j, k = np.nonzero(approx >= thresholds)
-    if j.size > _PRUNE_MAX_SHARE * (top * rows - top * (top + 1) // 2):
-        return None
+    limit = _PRUNE_MAX_SHARE * (top * rows - top * (top + 1) // 2)
+    found, count = [], 0
+    for block in compress(blocks, (peaks >= thresholds).any(axis=1)):
+        i, k = np.nonzero(band(block) >= thresholds)
+        found.append((block[0] + i, k))
+        count += k.size
+        if count > limit:
+            return None
+    j, k = map(np.concatenate, zip(*found))
     d = x[j + k + 1] - x[j]
     d *= d
     best = np.zeros(top + 1)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
-from nucleartight import cli, config, spde
+from nucleartight import cli, config, hermite, spde
 from nucleartight.diagnostics import SCHEMA, ks_pvalue, ks_two_sample, report_hash, validate_report
-from nucleartight.hermite import derivative_op
+from nucleartight.hermite import BasisSpec, derivative_op, laplacian_op
 from nucleartight.martingales import NumericalIntegrityError, clt_report
 from nucleartight.paths import TimeGrid
 from nucleartight.spde import heat_convergence_report, tightness_report
@@ -553,6 +553,22 @@ def test_golden_calibration_ranks_match_path_built_oracle(name):
             sides.append(want)
         pvalues.append(ks_pvalue(ks_two_sample(*sides).statistic, size, size))
     assert cal["pvalues"] == pvalues
+
+
+def test_heat_with_a_wider_quadrature_builds_the_step_semigroup_once(monkeypatch):
+    """The config check asks for ``E(dt)`` on ``BasisSpec(N, Q)`` and the mild
+    solver on ``BasisSpec(N, 2N)``; neither reads ``Q``, so one ``expm`` of
+    ``dt L`` serves both."""
+    cfg = cli.load_config("heat-smoke")
+    size = cfg["basis"]["N"]
+    cfg["basis"] = {"N": size, "Q": 3 * size}
+    cfg["grid"] = {"T": 1.0, "J": 120}  # a step no other test asks for: no cache holds it
+    step = cfg["grid"]["T"] / cfg["grid"]["J"] * laplacian_op(BasisSpec(size, 2 * size))
+    seen = []
+    expm = hermite._expm
+    monkeypatch.setattr(hermite, "_expm", lambda a: seen.append(a) or expm(a))
+    cli.run_command("heat", cfg)
+    assert sum(np.array_equal(a, step) for a in seen) == 1
 
 
 def test_numerical_integrity_exit_code(tmp_path, monkeypatch, capsys):

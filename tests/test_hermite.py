@@ -243,7 +243,7 @@ def test_heat_matrix_at_zero_is_the_identity_without_negative_zeros(size, t):
     with no ``-0.0`` that a matrix CSV would print.  The cache treats ``0.0``
     and ``-0.0`` as one key, so the uncached function is checked too."""
     basis = BasisSpec(size, 2 * size)
-    for e in (heat_matrix(t, basis), heat_matrix.__wrapped__(t, basis)):
+    for e in (heat_matrix(t, basis), hermite._heat_matrix.__wrapped__(t, size)):
         assert np.array_equal(e, np.eye(size)) and not np.signbit(e).any()
 
 

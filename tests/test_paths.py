@@ -245,11 +245,46 @@ def test_dual_path_stats_equals_dense_loop_at_report_shape():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+# (J, delta, N): several Gram row blocks with a short last one (J = 250 and
+# 1000), the largest lag equal to J (delta = T), widths not a multiple of 4
+SCREEN_SHAPES = [(250, 0.2, 3), (1000, 0.2, 5), (250, 1.0, 1), (300, 1.0, 63), (1000, 0.05, 63)]
+
+
+@pytest.mark.parametrize("side", ["default", "pruned-all"])
+@pytest.mark.parametrize("steps, delta, modes", SCREEN_SHAPES)
+def test_screen_equals_dense_loop_over_blocks_and_widths(monkeypatch, steps, delta, modes, side):
+    for name, value in PRUNE_SIDES[side].items():
+        monkeypatch.setattr(paths, name, value)
+    grid = TimeGrid(1.0, steps)
+    rng = np.random.default_rng(steps + modes)
+    deltas = [delta, delta / 3, 2.0 / steps]
+    for kind in ("brownian", "random", "linear", "constant", "offset"):
+        states = oracle_paths(kind, (2, steps + 1, modes), rng)
+        got = dual_path_stats(states, grid, deltas, 0.5)
+        want = oracles.dual_path_stats_dense(states, grid, deltas, 0.5)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), kind
+
+
+@pytest.mark.parametrize("scale, dense_paths", [(1e20, 2), (1e-20, 2), (0.0, 2), (1.0, 0)])
+def test_screen_leaves_float32_unsafe_paths_to_the_dense_loop(monkeypatch, scale, dense_paths):
+    """Squared norms beyond float32's safe range (and an all-zero path) take the
+    dense loop; paths of ordinary size take the screen."""
+    grid = TimeGrid(1.0, 250)
+    states = scale * oracle_paths("brownian", (2, 251, 5), np.random.default_rng(59))
+    dense = []
+    dense_best = paths._dense_best
+    monkeypatch.setattr(paths, "_dense_best", lambda s, top: dense.append(top) or dense_best(s, top))
+    got = dual_path_stats(states, grid, [0.2, 0.05], 0.5)
+    assert len(dense) == dense_paths
+    want = oracles.dual_path_stats_dense(states, grid, [0.2, 0.05], 0.5)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize("kind, prunes", [("brownian", True), ("constant", False), ("offset", False)])
 def test_pruned_reducer_falls_back_on_cancellation(kind, prunes):
     x = oracle_paths(kind, (401, 16), np.random.default_rng(53))
     sq = (x * x).sum(axis=-1)
-    best = paths._pruned_best(x, sq, [40, 20])
+    best = paths._pruned_best(x, sq, [40, 20], paths._screen_buffers(*x.shape, 40))
     assert (best is not None) == prunes
     if prunes:
         assert np.array_equal(best, paths._dense_best(x, 40)[[40, 20]])
