@@ -224,7 +224,7 @@ def run_command(command: str, cfg: dict, threads: int = 1, dump: bool = False):
     full = materialize(command, cfg)
     cells, extras, ok = _RUNNERS[command](full, threads, dump)
     metadata = _header(full)
-    metadata["extras"] = {k: v for k, v in extras.items() if k != "paths"} if extras else {}
+    metadata["extras"] = {k: v for k, v in extras.items() if k != "paths"}
     where = diagnostics._nonfinite_statistic(cells, metadata)
     if where is not None:
         raise NumericalIntegrityError(f"statistic {where} is not finite")

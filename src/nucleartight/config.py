@@ -75,23 +75,18 @@ _CLT_MAX_TIME = 1000.0
 
 # keys a config may hold besides its command's defaults; ``command`` is the
 # echo a materialized config carries
-_EXTRA_KEYS = {"": {"scenario", "threads", "command"}, "eta": {"r", "scale", "coeffs"}}
+_EXTRA_KEYS = {"": {"scenario", "command"}, "eta": {"r", "scale", "coeffs"}}
 
 
-def _merge(defaults, override, crumb=""):
-    if isinstance(defaults, dict):
-        if not isinstance(override, dict):
-            raise ConfigError(f"field {crumb or '<root>'} must be an object")
-        out = dict(defaults)
-        for key, value in override.items():
-            hole = f"{crumb}.{key}" if crumb else key
-            _require(key in defaults or key in _EXTRA_KEYS.get(crumb, ()), hole, "unknown key")
-            if key in defaults and isinstance(defaults[key], dict):
-                out[key] = _merge(defaults[key], value, hole)
-            else:
-                out[key] = value
-        return out
-    return override
+def _merge(defaults: dict, override, crumb=""):
+    if not isinstance(override, dict):
+        raise ConfigError(f"field {crumb or '<root>'} must be an object")
+    out = dict(defaults)
+    for key, value in override.items():
+        hole = f"{crumb}.{key}" if crumb else key
+        _require(key in defaults or key in _EXTRA_KEYS.get(crumb, ()), hole, "unknown key")
+        out[key] = _merge(defaults[key], value, hole) if isinstance(defaults.get(key), dict) else value
+    return out
 
 
 def _require(ok: bool, field: str, message: str) -> None:
@@ -232,7 +227,7 @@ def _check_cells(cfg: dict, basis: BasisSpec, grid: TimeGrid) -> None:
     for t in times:
         try:
             ok = _finite(t) and grid.index_of(float(t)) >= 0
-        except (ValueError, OverflowError):
+        except ValueError:
             ok = False
         _require(ok, "times", f"{t!r} is not a node of the grid (T = {grid.horizon}, J = {grid.steps})")
     _require(isinstance(phi_list, list) and phi_list, "phi_list", "must be a nonempty list")

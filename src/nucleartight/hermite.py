@@ -319,12 +319,6 @@ def quadrature_weights(basis: BasisSpec) -> np.ndarray:
     return _gh_rule(basis.quad_order)[2]
 
 
-@lru_cache(maxsize=32)
-def _basis_at_nodes(basis: BasisSpec) -> np.ndarray:
-    h = hermite_functions(quadrature_nodes(basis), basis.size)
-    return _as_readonly(h)
-
-
 def project_function(samples, basis: BasisSpec) -> TestFunction:
     """Project node samples onto the basis: ``c_k = int phi h_k`` by quadrature.
 
@@ -340,7 +334,7 @@ def project_function(samples, basis: BasisSpec) -> TestFunction:
     if not np.all(np.isfinite(s)):
         raise ValueError("node samples must be finite")
     w_mod = quadrature_weights(basis)
-    coeffs = _basis_at_nodes(basis).T @ (w_mod * s)
+    coeffs = hermite_functions(quadrature_nodes(basis), basis.size).T @ (w_mod * s)
     return TestFunction(basis, coeffs)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -294,20 +294,6 @@ _GRAM_VALUES = 62_500  # Hermite values per chunk of QuadraticForm._gram_sums (0
 _PANELS_PER_UNIT, _GL_POINTS, _STEP_GL_POINTS = 8, 16, 4
 
 
-@lru_cache(maxsize=256)
-def _gl_composite(t: float, panels: int, points: int):
-    """Composite Gauss-Legendre nodes/weights on [0, t] (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    edges = np.linspace(0.0, t, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 class QuadraticForm:
     """Evaluator of the limit covariance ``C(t; phi, psi)`` by nested quadrature.
 
@@ -319,7 +305,7 @@ class QuadraticForm:
 
     which is exact for the rule order in use; ``P`` needs the Hermite modes
     only up to the span of the derivative coefficients.  The outer time
-    integral uses Gauss-Legendre nodes, all interior (``s > 0``): a cached
+    integral uses Gauss-Legendre nodes, all interior (``s > 0``): a
     composite rule over ``[0, t]`` for ``C(t)``, one rule per grid step for
     the increments.
     """
@@ -376,12 +362,14 @@ class QuadraticForm:
 
     def covariance_matrix(self, t: float, phis) -> np.ndarray:
         """Matrix ``C(t; phi_a, phi_b)`` over a list of test functions."""
-        if t < 0:
-            raise ValueError("time must be >= 0")
+        if not 0 <= t < np.inf:
+            raise ValueError("time must be finite and >= 0")
         dmat = self._dmat(phis)
-        panels = max(1, int(np.ceil(t * _PANELS_PER_UNIT)))
-        nodes, weights = _gl_composite(float(t), panels, _GL_POINTS)
-        return self._gram_sums(nodes[None], weights, dmat)[0]
+        x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+        edges = np.linspace(0.0, t, max(1, int(np.ceil(t * _PANELS_PER_UNIT))) + 1)
+        half = np.diff(edges) / 2.0
+        nodes = ((edges[:-1] + edges[1:]) / 2.0)[:, None] + half[:, None] * x
+        return self._gram_sums(nodes.reshape(1, -1), (half[:, None] * w).ravel(), dmat)[0]
 
     def increment_covariances(self, grid: TimeGrid, dmat: np.ndarray) -> np.ndarray:
         """Per-step covariance increments, shape ``(steps, m, m)``.
@@ -492,10 +480,10 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
     tightness_index, levels, deltas = _tightness_from(cfg)
 
     t_idx = [grid.index_of(t) for t in times]
-    targets = np.array([[limit_variance(phi, t) for t in times] for phi in phis])
+    targets = [limit_variance(phi, t) for phi, t in product(phis, times)]
 
     limit = simulate_limit(phis, grid, reps, seed)
-    # columns phi outer, t inner, as the particle sample ``mn_vals`` below
+    # columns phi outer, t inner, as the particle cells of ``one_block``
     limit_joint = limit[:, t_idx].swapaxes(1, 2).reshape(reps, -1)
     limit_within = diagnostics.distance_matrix(limit_joint)  # shared by every n
 
@@ -504,23 +492,22 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
 
     def one_block(particles):
         states, modes = _mn_dual_states(particles, basis, keep)
-        mn = np.empty((states.shape[0], len(phis), len(times)))
+        mn = np.empty((len(states), len(phis), len(times)))
         qv = np.empty(mn.shape)
         for a, dcoef in enumerate(dcoefs):
             mn_steps, qv_steps = _mn_qv_steps(dcoef, particles, modes)
             mn[:, a] = _cumulative(mn_steps)[:, t_idx]
             qv[:, a] = _cumulative(qv_steps)[:, t_idx]
         sup, mods = dual_path_stats(states, grid, deltas, tightness_index)
-        return mn, qv, sup, mods, states if collect_paths else None
+        flat = (len(states), -1)  # (reps, cells), the layout of ``limit_joint``
+        return mn.reshape(flat), qv.reshape(flat), sup, mods, states if collect_paths else None
 
     cells = []
     extras = {"per_n": {}, "paths": {}}
     for n in cfg["n_list"]:
-        # (reps, phi, t), (reps, phi, t), (reps,), (reps, deltas) and the paths
+        # (reps, cells), (reps, cells), (reps,), (reps, deltas) and the paths
         mn_vals, qv_vals, sups, mod_table, states = run_blocks(n, reps, grid, basis, seed, threads, one_block)
-
-        joint = mn_vals.reshape(reps, -1)
-        energy, energy_se = diagnostics.energy_distance_with_se(joint, limit_joint, y_within=limit_within)
+        energy, energy_se = diagnostics.energy_distance_with_se(mn_vals, limit_joint, y_within=limit_within)
 
         tightness = containment_summary(sups, mod_table, levels, deltas)
         extras["per_n"][n] = {
@@ -531,44 +518,41 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
         if collect_paths:
             extras["paths"][n] = states
 
-        for a, phi in enumerate(phis):
-            for b, t in enumerate(times):
-                target = float(targets[a, b])
-                sample = mn_vals[:, a, b]
-                qv_sample = qv_vals[:, a, b]
-                qv_mean = float(qv_sample.mean())
-                qv_se = float(qv_sample.std(ddof=1) / np.sqrt(reps))
-                mn_var = float(sample.var(ddof=1))
-                m4 = float(np.mean((sample - sample.mean()) ** 4))
-                var_se = float(np.sqrt(max(m4 - np.square(mn_var), 0.0) / reps))
-                cell = {
-                    "n": n,
-                    "phi": _phi_label(phi),
-                    "t": t,
-                    "qv_mean": qv_mean,
-                    "qv_se": qv_se,
-                    "qv_var": float(qv_sample.var(ddof=1)),
-                    "qv_target": target,
-                    "mn_mean": float(sample.mean()),
-                    "mn_se": float(sample.std(ddof=1) / np.sqrt(reps)),
-                    "mn_var": mn_var,
-                    "mn_var_se": var_se,
-                    "energy": energy,
-                    "energy_se": energy_se,
-                }
-                if target <= 0.0:
-                    cell.update(
-                        {"degenerate": True, "ks": 0.0, "ks_critical": 0.0}
-                    )
-                else:
-                    ks = diagnostics.ks_one_sample(sample / np.sqrt(target), diagnostics.normal_cdf)
-                    cell.update(
-                        {
-                            "degenerate": False,
-                            "ks": ks.statistic,
-                            "ks_critical": ks.critical_1,
-                            "ks_critical_5": ks.critical_5,
-                        }
-                    )
-                cells.append(cell)
+        for pos, (phi, t) in enumerate(product(phis, times)):
+            target, sample, qv_sample = targets[pos], mn_vals[:, pos], qv_vals[:, pos]
+            qv_mean = float(qv_sample.mean())
+            qv_se = float(qv_sample.std(ddof=1) / np.sqrt(reps))
+            mn_var = float(sample.var(ddof=1))
+            m4 = float(np.mean((sample - sample.mean()) ** 4))
+            var_se = float(np.sqrt(max(m4 - np.square(mn_var), 0.0) / reps))
+            cell = {
+                "n": n,
+                "phi": _phi_label(phi),
+                "t": t,
+                "qv_mean": qv_mean,
+                "qv_se": qv_se,
+                "qv_var": float(qv_sample.var(ddof=1)),
+                "qv_target": target,
+                "mn_mean": float(sample.mean()),
+                "mn_se": float(sample.std(ddof=1) / np.sqrt(reps)),
+                "mn_var": mn_var,
+                "mn_var_se": var_se,
+                "energy": energy,
+                "energy_se": energy_se,
+            }
+            if target <= 0.0:
+                cell.update(
+                    {"degenerate": True, "ks": 0.0, "ks_critical": 0.0}
+                )
+            else:
+                ks = diagnostics.ks_one_sample(sample / np.sqrt(target), diagnostics.normal_cdf)
+                cell.update(
+                    {
+                        "degenerate": False,
+                        "ks": ks.statistic,
+                        "ks_critical": ks.critical_1,
+                        "ks_critical_5": ks.critical_5,
+                    }
+                )
+            cells.append(cell)
     return cells, extras

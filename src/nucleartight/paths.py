@@ -68,7 +68,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of time ``t`` (must sit on a node up to rounding)."""
-        j = int(round(t / self.dt))
+        ratio = t / self.dt
+        j = int(round(ratio)) if np.isfinite(ratio) else -1
         if j < 0 or j > self.steps or abs(j * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"time {t} is not a node of the grid")
         return j
@@ -319,6 +320,8 @@ def containment_summary(
         raise ValueError("empty ensemble")
     c_levels = [float(c) for c in c_levels]
     delta_grid = [float(d) for d in delta_grid]
+    if modulus_table.shape != (len(sup_norms), len(delta_grid)):
+        raise ValueError("modulus_table must have shape (paths, len(delta_grid))")
     exceedance = {
         f"{c!r}": float(np.mean(sup_norms > c)) for c in c_levels
     }
@@ -349,6 +352,8 @@ def quantile(values, q: float) -> np.ndarray:
     ``hi - (hi - lo) (1 - g)`` when the fraction ``g >= 1/2``, as numpy's
     ``_lerp`` does.
     """
+    if not 0 <= q <= 1:
+        raise ValueError("quantiles must be in the range [0, 1]")
     s = np.sort(np.asarray(values, dtype=float), axis=0)
     index = (s.shape[0] - 1) * q
     i = int(index)

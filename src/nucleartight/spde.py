@@ -382,9 +382,8 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
     # --- null calibration ---------------------------------------------------
     cal = cfg["calibration"]
     if cal["reps"] > 0:
-        same = cal["steps"] in (None, grid.steps)
-        cal_grid = grid if same else TimeGrid(grid.horizon, cal["steps"])
-        cal_factors = factors if same else _limit_factors(cal_grid, basis, limit_dmat)
+        cal_grid = TimeGrid(grid.horizon, cal["steps"] or grid.steps)
+        cal_factors = factors if cal_grid == grid else _limit_factors(cal_grid, basis, limit_dmat)
         # the calibration is a pure null check, so the cell choice is free;
         # the horizon is a node of every grid
         weights, flow = _terminal_weights(cal_factors, basis, cal_grid, phis[0].coeffs)
@@ -437,25 +436,16 @@ def tightness_report(cfg: dict, *, threads: int = 1):
         return sups, mods, ends
 
     cells = []
-    driver_q = {}
     for n in n_list:
         sups, mods, ends = run_blocks(n, reps, grid, basis, seed, threads, particle_block)
-        blocks = {}
+        cell = {"n": n, "quantile": level}
         for name, i in (("driver", 0), ("solution", 1)):
-            blocks[name] = containment_summary(sups[:, i], mods[:, i], levels, deltas)
-            blocks[name]["sup_quantile"] = float(quantile(sups[:, i], level))
-            blocks[name]["end_norm_median"] = float(median(ends[:, i]))
-        driver_q[n] = blocks["driver"]["sup_quantile"]
-        cells.append(
-            {
-                "n": n,
-                "quantile": level,
-                "driver": blocks["driver"],
-                "solution": blocks["solution"],
-            }
-        )
+            cell[name] = containment_summary(sups[:, i], mods[:, i], levels, deltas)
+            cell[name]["sup_quantile"] = float(quantile(sups[:, i], level))
+            cell[name]["end_norm_median"] = float(median(ends[:, i]))
+        cells.append(cell)
 
-    q_values = np.array([driver_q[n] for n in n_list])
+    q_values = np.array([cell["driver"]["sup_quantile"] for cell in cells])
     ratio = float(q_values.max() / q_values.min()) if q_values.min() > 0 else float("inf")
     extras = {
         "gate": {

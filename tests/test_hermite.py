@@ -151,6 +151,19 @@ def test_project_zero_and_errors(basis64):
         project_function(np.zeros(basis64.quad_order - 1), basis64)
 
 
+@pytest.mark.parametrize("n", [8, 63, 64])
+@pytest.mark.parametrize("extra", [0, 3])
+def test_project_function_bits(n, extra):
+    # the formula of the projection's former cached basis matrix, a
+    # read-only copy of hermite_functions at the nodes
+    basis = BasisSpec(n, 2 * n + extra)
+    nodes, w = quadrature_nodes(basis), quadrature_weights(basis)
+    rng = np.random.default_rng(n + extra)
+    for s in (np.tanh(nodes), np.exp(-nodes * nodes / 2.0) * np.cos(nodes), rng.standard_normal(nodes.size)):
+        want = np.array(hermite_functions(nodes, n)).T @ (w * s)
+        assert np.array_equal(project_function(s, basis).coeffs, want)
+
+
 def test_reconstruction_roundtrip(basis64):
     rng = np.random.default_rng(5)
     coeffs = np.zeros(basis64.size)

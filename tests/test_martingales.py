@@ -455,6 +455,12 @@ def test_variance_function_zero_at_origin(basis, h0):
         limit_variance(h0, -1.0)
 
 
+@pytest.mark.parametrize("t", [float("inf"), float("nan")])
+def test_variance_function_rejects_nonfinite_time(h0, t):
+    with pytest.raises(ValueError, match="time must be finite"):
+        limit_variance(h0, t)
+
+
 def test_variance_function_quadratic_scaling(basis):
     rng = np.random.default_rng(10)
     for _ in range(5):

@@ -47,6 +47,12 @@ def test_time_grid_validation():
         grid.index_of(0.7)
 
 
+@pytest.mark.parametrize("t", [float("inf"), -float("inf"), float("nan")])
+def test_time_grid_index_rejects_nonfinite(t):
+    with pytest.raises(ValueError, match="not a node of the grid"):
+        TimeGrid(1.0, 10).index_of(t)
+
+
 def test_path_shape_and_finiteness(basis16):
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError):
@@ -339,6 +345,21 @@ def test_containment_rejects_empty(basis16):
     grid = TimeGrid(1.0, 10)
     with pytest.raises(ValueError, match="empty ensemble"):
         containment(np.zeros((0, 11, basis16.size)), grid, 1.0, [1.0], [0.1])
+
+
+@pytest.mark.parametrize("table", [[[0.1], [0.2]], [[0.1, 0.2]], [0.1, 0.2], [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]]])
+def test_containment_rejects_modulus_table_shape(table):
+    # one row per path, one column per gap
+    with pytest.raises(ValueError, match="modulus_table must have shape"):
+        containment_summary([1.0, 2.0], table, [1.0], [0.1, 0.2])
+
+
+@pytest.mark.parametrize("q", [-0.5, 1.5, float("nan"), -float("inf")])
+def test_quantile_rejects_out_of_range(q):
+    with pytest.raises(ValueError, match=r"range \[0, 1\]"):
+        quantile([1.0, 2.0, 3.0], q)
+    with pytest.raises(ValueError, match=r"range \[0, 1\]"):
+        np.quantile([1.0, 2.0, 3.0], q)
 
 
 @pytest.mark.parametrize("kind", ["normal", "ties", "wide"])

@@ -388,8 +388,21 @@ def test_tightness_report_gate(basis, grid):
         assert {"n", "driver", "solution"} <= set(cell)
         assert cell["driver"]["paths"] == 40
     gate = extras["gate"]
-    assert gate["ratio"] >= 1.0
-    assert isinstance(gate["pass"], bool)
+    driver_q = [cell["driver"]["sup_quantile"] for cell in cells]
+    assert driver_q != [cell["solution"]["sup_quantile"] for cell in cells]
+    assert gate["ratio"] == max(driver_q) / min(driver_q)
+    assert gate["pass"] is (gate["ratio"] <= 2.0)  # the default gate_ratio
+
+
+def test_heat_calibration_default_steps_are_the_grid(basis):
+    grid = TimeGrid(1.0, 20)
+    cfg = scenario(basis, grid, n_list=[5], phi_list=[[1.0]], times=[1.0], reps=6, seed=3, limit_modes=4)
+    runs = [
+        heat_convergence_report({**cfg, "calibration": {"reps": 3, "size": 30, "steps": steps}})[1]["calibration"]
+        for steps in (None, grid.steps)
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0]["steps"] == grid.steps
 
 
 def test_heat_report_thread_invariance(basis):
