@@ -15,9 +15,8 @@ from nucleartight import (
     TimeGrid,
     ks_one_sample,
     limit_variance,
-    mn_scalar_path,
     normal_cdf,
-    quadratic_variation_path,
+    scalar_paths,
     simulate_limit,
     simulate_particles,
 )
@@ -36,7 +35,7 @@ print(f"\n== quadratic variation across ensembles ({reps} repetitions) ==")
 for n in (10, 40, 160):
     qv = np.array(
         [
-            quadratic_variation_path(h0, simulate_particles(n, grid, SEED, r))[-1]
+            scalar_paths([h0], simulate_particles(n, grid, SEED, r))[1][0, -1]
             for r in range(reps)
         ]
     )
@@ -47,7 +46,7 @@ for n in (10, 40, 160):
 
 print("\n== Ito isometry and normality at n=200 ==")
 terminal = np.array(
-    [mn_scalar_path(h0, simulate_particles(200, grid, SEED, r))[-1] for r in range(reps)]
+    [scalar_paths([h0], simulate_particles(200, grid, SEED, r))[0][0, -1] for r in range(reps)]
 )
 print(f"Var(M_1(h0)) = {terminal.var(ddof=1):.5f} vs A(1,h0) = {target:.5f}")
 ks = ks_one_sample(terminal / np.sqrt(target), normal_cdf)

@@ -36,8 +36,7 @@ from .martingales import (
     QuadraticForm,
     clt_report,
     limit_variance,
-    mn_scalar_path,
-    quadratic_variation_path,
+    scalar_paths,
     simulate_limit,
     simulate_particles,
 )

@@ -366,8 +366,8 @@ def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
     times (``5e38`` at ``N = 8``) the powers of ``t L`` that choose the
     scaling overflow, and a non-finite result raises ``ValueError``.
     """
-    if t < 0:
-        raise ValueError("time must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError("time must be finite and >= 0")
     return _heat_matrix(t, basis.size)
 
 

@@ -53,8 +53,7 @@ __all__ = [
     "NumericalIntegrityError",
     "ParticleEnsemble",
     "simulate_particles",
-    "mn_scalar_path",
-    "quadratic_variation_path",
+    "scalar_paths",
     "QuadraticForm",
     "limit_variance",
     "simulate_limit",
@@ -134,31 +133,42 @@ def simulate_particles(
     return ParticleEnsemble(n, grid, inc[0] if single else inc, stream_id if single else ids)
 
 
-def _derivative_coeffs(phi: TestFunction) -> np.ndarray:
-    return derivative_op(phi.basis) @ phi.coeffs
+def _dmat(phis) -> np.ndarray:
+    """Derivative coefficients ``N x m``, column ``a`` the gemv ``D @ phis[a].coeffs``."""
+    phis = list(phis)
+    if not phis:
+        raise ValueError("need at least one test function")
+    basis = phis[0].basis
+    if any(phi.basis != basis for phi in phis):
+        raise ValueError("test functions must share one basis")
+    return np.column_stack([derivative_op(basis) @ phi.coeffs for phi in phis])
 
 
-def _mn_qv_steps(dcoef: np.ndarray, particles: ParticleEnsemble, modes=None):
+def _mn_qv_steps(dmat: np.ndarray, particles: ParticleEnsemble, modes=None):
     """Per-step martingale and quadratic-variation increments.
 
-    Returns ``(mn_steps, qv_steps)``, each of shape ``(..., steps)`` for
-    increments of shape ``(..., count, steps)``: left-point evaluation of
-    phi' along each particle, paired with the particle's forward increment
-    (martingale) or squared and scaled by dt (quadratic variation), summed
-    over the particle axis.  ``modes`` kept by :func:`_mn_dual_states` spare
-    a recurrence.  One ``matmul`` contracts phi' for a block of repetitions:
-    it forms each repetition's product on its own, with the bits the
-    repetition gets alone.
+    Returns ``(mn_steps, qv_steps)``, each of shape ``(..., m, steps)`` for
+    derivative coefficients ``dmat`` (``N x m``) and increments of shape
+    ``(..., count, steps)``: left-point evaluation of each phi' along each
+    particle, paired with the particle's forward increment (martingale) or
+    squared and scaled by dt (quadratic variation), summed over the particle
+    axis.  One recurrence runs up to the largest span of the columns, unless
+    ``modes`` kept by :func:`_mn_dual_states` spare it.  Each column, copied
+    contiguous, then takes its own ``matmul`` over its own span, one gemv
+    per repetition of a block: a strided column, or one matrix product for
+    all columns, would round the bits each phi gets alone differently.
     """
-    top = _span(dcoef)
+    tops = [_span(d) for d in dmat.T]
     inc = particles.increments
     if modes is None:
-        modes = _hermite_modes_first(particles.positions()[..., :-1], top)
-    stacked = modes[:top].reshape(top, math.prod(inc.shape[:-2]), inc.shape[-2] * inc.shape[-1])
-    vals = np.matmul(dcoef[:top], stacked.swapaxes(0, 1)).reshape(inc.shape)
-    root_n = np.sqrt(particles.count)
-    mn_steps = (vals * inc).sum(axis=-2) / root_n
-    qv_steps = (vals * vals).sum(axis=-2) * (particles.grid.dt / particles.count)
+        modes = _hermite_modes_first(particles.positions()[..., :-1], max(tops))
+    reps, values = math.prod(inc.shape[:-2]), inc.shape[-2] * inc.shape[-1]
+    mn_steps, qv_steps = np.empty((2,) + inc.shape[:-2] + (len(tops), inc.shape[-1]))
+    for a, top in enumerate(tops):
+        stacked = modes[:top].reshape(top, reps, values).swapaxes(0, 1)
+        vals = np.matmul(dmat[:top, a].copy(), stacked).reshape(inc.shape)
+        mn_steps[..., a, :] = (vals * inc).sum(axis=-2) / np.sqrt(particles.count)
+        qv_steps[..., a, :] = (vals * vals).sum(axis=-2) * (particles.grid.dt / particles.count)
     return mn_steps, qv_steps
 
 
@@ -172,17 +182,13 @@ def _cumulative(steps: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def mn_scalar_path(phi: TestFunction, particles: ParticleEnsemble) -> np.ndarray:
-    """Euler Ito sum of the rescaled particle martingale against ``phi``,
-    shape ``(..., J+1)``: one path per repetition of a block, each with the
-    bits the repetition gets alone (see :func:`_mn_qv_steps`)."""
-    return _cumulative(_mn_qv_steps(_derivative_coeffs(phi), particles)[0])
-
-
-def quadratic_variation_path(phi: TestFunction, particles: ParticleEnsemble) -> np.ndarray:
-    """Quadratic variation path, shape ``(..., J+1)`` as :func:`mn_scalar_path`:
-    nondecreasing, zero at the origin."""
-    return _cumulative(_mn_qv_steps(_derivative_coeffs(phi), particles)[1])
+def scalar_paths(phis, particles: ParticleEnsemble):
+    """Euler Ito sums of the rescaled particle martingale against each of
+    ``phis`` and their quadratic variations (nondecreasing), both of shape
+    ``(..., m, J+1)`` and zero at the origin: row ``a`` holds ``phis[a]``,
+    and a block of repetitions gives each one the bits it gets alone (see
+    :func:`_mn_qv_steps`)."""
+    return tuple(_cumulative(s) for s in _mn_qv_steps(_dmat(phis), particles))
 
 
 # values per (particles, block) mode buffer of _mn_dual_states (512 kB); smaller
@@ -355,16 +361,13 @@ class QuadraticForm:
                     out[r : r + row_step] += wi * gk[:, i]
         return out
 
-    def _dmat(self, phis) -> np.ndarray:
-        if any(phi.basis != self.basis for phi in phis):
-            raise ValueError("test functions must share the form's basis")
-        return np.column_stack([_derivative_coeffs(phi) for phi in phis])
-
     def covariance_matrix(self, t: float, phis) -> np.ndarray:
         """Matrix ``C(t; phi_a, phi_b)`` over a list of test functions."""
         if not 0 <= t < np.inf:
             raise ValueError("time must be finite and >= 0")
-        dmat = self._dmat(phis)
+        dmat = _dmat(phis)
+        if phis[0].basis != self.basis:
+            raise ValueError("test functions must share the form's basis")
         x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
         edges = np.linspace(0.0, t, max(1, int(np.ceil(t * _PANELS_PER_UNIT))) + 1)
         half = np.diff(edges) / 2.0
@@ -434,12 +437,10 @@ def simulate_limit(phis, grid: TimeGrid, count: int, seed: int) -> np.ndarray:
     ``(seed, "limit", 0)``.
     """
     phis = list(phis)
-    if not phis:
-        raise ValueError("need at least one test function")
+    dmat = _dmat(phis)
     if count < 1:
         raise ValueError("need at least one path")
-    basis = phis[0].basis
-    factors = _limit_factors(grid, basis, QuadraticForm(basis)._dmat(phis))
+    factors = _limit_factors(grid, phis[0].basis, dmat)
     z = stream(seed, "limit", 0).standard_normal((count, grid.steps, len(phis)))
     return _limit_states(factors, z, len(phis))
 
@@ -487,17 +488,12 @@ def clt_report(cfg: dict, *, threads: int = 1, collect_paths: bool = False):
     limit_joint = limit[:, t_idx].swapaxes(1, 2).reshape(reps, -1)
     limit_within = diagnostics.distance_matrix(limit_joint)  # shared by every n
 
-    dcoefs = [_derivative_coeffs(phi) for phi in phis]
-    keep = max(_span(dcoef) for dcoef in dcoefs)  # modes every phi' needs
+    dmat = _dmat(phis)
+    keep = _span(np.any(dmat, axis=1))  # modes every phi' needs
 
     def one_block(particles):
         states, modes = _mn_dual_states(particles, basis, keep)
-        mn = np.empty((len(states), len(phis), len(times)))
-        qv = np.empty(mn.shape)
-        for a, dcoef in enumerate(dcoefs):
-            mn_steps, qv_steps = _mn_qv_steps(dcoef, particles, modes)
-            mn[:, a] = _cumulative(mn_steps)[:, t_idx]
-            qv[:, a] = _cumulative(qv_steps)[:, t_idx]
+        mn, qv = (_cumulative(s)[..., t_idx] for s in _mn_qv_steps(dmat, particles, modes))
         sup, mods = dual_path_stats(states, grid, deltas, tightness_index)
         flat = (len(states), -1)  # (reps, cells), the layout of ``limit_joint``
         return mn.reshape(flat), qv.reshape(flat), sup, mods, states if collect_paths else None

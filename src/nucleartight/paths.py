@@ -355,6 +355,8 @@ def quantile(values, q: float) -> np.ndarray:
     if not 0 <= q <= 1:
         raise ValueError("quantiles must be in the range [0, 1]")
     s = np.sort(np.asarray(values, dtype=float), axis=0)
+    if not len(s):
+        raise ValueError("empty sample")
     index = (s.shape[0] - 1) * q
     i = int(index)
     lo, hi = s[i], s[min(i + 1, s.shape[0] - 1)]
@@ -366,6 +368,8 @@ def median(values) -> np.ndarray:
     """``np.median(values, axis=0)`` bit for bit, without ``numpy.ma``:
     the middle sorted value, or the mean ``(a + b) / 2`` of the middle two."""
     s = np.sort(np.asarray(values, dtype=float), axis=0)
+    if not len(s):
+        raise ValueError("empty sample")
     mid = s.shape[0] // 2
     return s[mid] if s.shape[0] % 2 else (s[mid - 1] + s[mid]) / 2.0
 

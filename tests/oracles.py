@@ -405,12 +405,14 @@ def per_rep_drivers(monkeypatch, width=None):
         outs = [mn_dual_states_per_rep(repetition(particles, r), basis, keep, width) for r in reps]
         return np.stack([o[0] for o in outs]), np.stack([o[1] for o in outs], axis=1)
 
-    def qv_steps(dcoef, particles, modes=None):
-        outs = [
-            mn_qv_steps_per_rep(dcoef, repetition(particles, r), None if modes is None else modes[:, r])
-            for r in range(len(particles.stream_id))
-        ]
-        return np.stack([o[0] for o in outs]), np.stack([o[1] for o in outs])
+    def qv_steps(dmat, particles, modes=None):
+        # the per-repetition oracle once per repetition and phi, stacked to (reps, m, steps)
+        out = np.empty((2, len(particles.stream_id), dmat.shape[1], particles.grid.steps))
+        for r in range(out.shape[1]):
+            for a in range(out.shape[2]):
+                kept = None if modes is None else modes[:, r]
+                out[:, r, a] = mn_qv_steps_per_rep(dmat[:, a].copy(), repetition(particles, r), kept)
+        return out[0], out[1]
 
     def path_stats(states, grid, deltas, r):
         outs = [paths.dual_path_stats(x, grid, deltas, r) for x in states]

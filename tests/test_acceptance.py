@@ -30,8 +30,7 @@ from nucleartight.hermite import (
 )
 from nucleartight.martingales import (
     limit_variance,
-    mn_scalar_path,
-    quadratic_variation_path,
+    scalar_paths,
     simulate_limit,
     simulate_particles,
 )
@@ -75,11 +74,11 @@ def grid():
 def particle_study(basis, grid):
     """One sweep over n in {10, 40, 160}: martingale cells, QV, sup norms.
 
-    Per repetition: M_{0.5}(h_0) and M_1(h_1) from one particle realization
-    (joint vector for the FDD criterion) and <M(h_0)>_1 (QV law of large
-    numbers) at the pinned 2000 repetitions; the dual-path sup norms for the
-    tightness quantile (whose repetition count is not pinned) reuse the
-    first 1000 realizations.
+    Per repetition, from one particle realization and one scalar-path call:
+    M_{0.5}(h_0) and M_1(h_1) (joint vector for the FDD criterion) and
+    <M(h_0)>_1 (QV law of large numbers) at the pinned 2000 repetitions;
+    the dual-path sup norms for the tightness quantile (whose repetition
+    count is not pinned) reuse the first 1000 realizations.
     """
     h0, h1 = unit_function(basis, 0), unit_function(basis, 1)
     reps, dual_reps = 2000, 1000
@@ -90,11 +89,10 @@ def particle_study(basis, grid):
         sups = np.empty(dual_reps)
         for rep in range(reps):
             particles = simulate_particles(n, grid, SEED, stream_id=rep)
-            path0 = mn_scalar_path(h0, particles)
-            path1 = mn_scalar_path(h1, particles)
-            joint[rep, 0] = path0[grid.index_of(0.5)]
-            joint[rep, 1] = path1[grid.index_of(1.0)]
-            qv1[rep] = quadratic_variation_path(h0, particles)[-1]
+            mn, qv = scalar_paths([h0, h1], particles)
+            joint[rep, 0] = mn[0, grid.index_of(0.5)]
+            joint[rep, 1] = mn[1, grid.index_of(1.0)]
+            qv1[rep] = qv[0, -1]
             if rep < dual_reps:
                 sups[rep] = sup_dual_norm(mn_dual_path(particles, basis), grid, 1.0)
         out[n] = {"joint": joint, "qv1": qv1, "sups": sups}
@@ -171,7 +169,7 @@ def test_criterion_04_ito_isometry(basis, grid):
     terminal = np.empty(reps)
     for rep in range(reps):
         particles = simulate_particles(50, grid, SEED, stream_id=rep)
-        terminal[rep] = mn_scalar_path(h0, particles)[-1]
+        terminal[rep] = scalar_paths([h0], particles)[0][0, -1]
     var = terminal.var(ddof=1)
     m4 = np.mean((terminal - terminal.mean()) ** 4)
     se = np.sqrt(max(m4 - var**2, 0.0) / reps)
@@ -202,7 +200,7 @@ def test_criterion_06_one_dimensional_clt(basis, grid):
     terminal = np.empty(reps)
     for rep in range(reps):
         particles = simulate_particles(200, grid, SEED, stream_id=rep)
-        terminal[rep] = mn_scalar_path(h0, particles)[-1]
+        terminal[rep] = scalar_paths([h0], particles)[0][0, -1]
     result = ks_one_sample(terminal / np.sqrt(target), ndtr)
     ok = result.statistic < result.critical_1
     _record(

@@ -283,6 +283,13 @@ def test_heat_matrix_overflow_threshold():
             heat_matrix(t, basis)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [float("inf"), float("nan")])
+def test_heat_matrix_rejects_nonfinite_time(t):
+    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        heat_matrix(t, BasisSpec(8, 16))
+
+
 def test_heat_matrix_approaches_identity(basis64):
     norms = [
         np.linalg.norm(heat_matrix(t, basis64) - np.eye(basis64.size), 2)

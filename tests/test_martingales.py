@@ -10,9 +10,8 @@ from nucleartight.martingales import (
     _sqrt_factors,
     clt_report,
     limit_variance,
-    mn_scalar_path,
     parallel_map,
-    quadratic_variation_path,
+    scalar_paths,
     simulate_limit,
     simulate_particles,
 )
@@ -75,21 +74,20 @@ def test_particles_reject_zero_count():
 def test_mn_starts_at_zero(basis, h0):
     grid = TimeGrid(1.0, 100)
     p = simulate_particles(25, grid, 4)
-    assert mn_scalar_path(h0, p)[0] == 0.0
+    assert scalar_paths([h0], p)[0][0, 0] == 0.0
 
 
 def test_mn_scaling_linearity(basis, h0):
     grid = TimeGrid(1.0, 100)
     p = simulate_particles(25, grid, 5)
-    base = mn_scalar_path(h0, p)
-    scaled = mn_scalar_path(TestFunction(basis, 2.5 * h0.coeffs), p)
+    base, scaled = scalar_paths([h0, TestFunction(basis, 2.5 * h0.coeffs)], p)[0]
     assert np.allclose(scaled, 2.5 * base, rtol=1e-12, atol=1e-14)
 
 
 def test_mn_ensemble_mean_near_zero(basis, h0):
     grid = TimeGrid(1.0, 250)
     vals = np.array(
-        [mn_scalar_path(h0, simulate_particles(20, grid, 6, r))[-1] for r in range(500)]
+        [scalar_paths([h0], simulate_particles(20, grid, 6, r))[0][0, -1] for r in range(500)]
     )
     se = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(vals.mean()) < 3 * se
@@ -98,7 +96,7 @@ def test_mn_ensemble_mean_near_zero(basis, h0):
 def test_qv_nondecreasing_from_zero(basis, h0):
     grid = TimeGrid(1.0, 200)
     p = simulate_particles(30, grid, 7)
-    qv = quadratic_variation_path(h0, p)
+    qv = scalar_paths([h0], p)[1][0]
     assert qv[0] == 0.0
     assert np.all(np.diff(qv) >= 0.0)
 
@@ -108,7 +106,7 @@ def test_qv_mean_matches_variance_target(basis, h0):
     target = limit_variance(h0, 1.0)
     vals = np.array(
         [
-            quadratic_variation_path(h0, simulate_particles(50, grid, 8, r))[-1]
+            scalar_paths([h0], simulate_particles(50, grid, 8, r))[1][0, -1]
             for r in range(400)
         ]
     )
@@ -123,8 +121,8 @@ def test_ito_isometry_var_vs_qv_mean(basis, h0):
     qv = np.empty(500)
     for rep in range(500):
         particles = simulate_particles(20, grid, 21, rep)
-        terminal[rep] = mn_scalar_path(h0, particles)[-1]
-        qv[rep] = quadratic_variation_path(h0, particles)[-1]
+        mn_path, qv_path = scalar_paths([h0], particles)
+        terminal[rep], qv[rep] = mn_path[0, -1], qv_path[0, -1]
     var = terminal.var(ddof=1)
     m4 = np.mean((terminal - terminal.mean()) ** 4)
     se_var = np.sqrt(max(m4 - var**2, 0.0) / terminal.size)
@@ -137,7 +135,7 @@ def test_increment_covariances_positive_semidefinite(basis, h0):
     form = QuadraticForm(basis)
     grid = TimeGrid(1.0, 50)
     phis = [h0, unit_function(basis, 1), unit_function(basis, 3)]
-    increments = form.increment_covariances(grid, form._dmat(phis))
+    increments = form.increment_covariances(grid, martingales._dmat(phis))
     eigenvalues = np.linalg.eigvalsh(increments)
     assert eigenvalues.min() > -1e-12
 
@@ -164,7 +162,7 @@ def _case_dmat(form, case):
     """Random full-span derivative columns for an int case, else a short-span case's."""
     if isinstance(case, int):
         return _derivative_columns(form.basis, case)
-    return form._dmat(_short_span_phis(form.basis, case))
+    return martingales._dmat(_short_span_phis(form.basis, case))
 
 
 def _chunk_nodes(monkeypatch, basis, dmat, nodes):
@@ -231,7 +229,7 @@ def test_covariance_matrix_matches_per_node_loop(basis, monkeypatch, modes, t, n
     else:
         phis = _short_span_phis(basis, modes)
     form = QuadraticForm(basis)
-    dmat = form._dmat(phis)
+    dmat = martingales._dmat(phis)
     chunks = _chunk_nodes(monkeypatch, basis, dmat, nodes)
     got = form.covariance_matrix(t, phis)
     assert chunks == split
@@ -355,32 +353,37 @@ def test_time_blocks_are_never_one_step_wide(steps, width, want):
     assert [b - a for a, b in martingales._time_blocks(steps, width)] == want
 
 
+# test functions whose coefficients span 0, 1, 3 and N modes; phi' of the
+# last one reaches mode N - 1
+SPAN_PHIS = [[0.0], [1.0], [0.0, 1.0, 0.5], [0.0] * 14 + [0.5, 1.0]]
+
+
 @pytest.mark.parametrize("keep", ["span", "all"])
-@pytest.mark.parametrize(
-    "coeffs",
-    [[0.0], [1.0], [0.0, 1.0, 0.5], [0.0] * 14 + [0.5, 1.0]],
-    ids=["zero", "h0", "mixed", "top"],  # "top": phi' reaches mode N - 1
-)
-def test_qv_steps_from_kept_modes(basis, keep, coeffs):
+@pytest.mark.parametrize("count", [1, 2, 3, 4], ids=["zero", "h0", "mixed", "top"])  # the list's last phi
+def test_qv_steps_from_kept_modes(basis, keep, count):
     particles = simulate_particles(6, TimeGrid(1.0, 40), 5, stream_id=2)
-    c = np.zeros(basis.size)
-    c[: len(coeffs)] = coeffs
-    phi = TestFunction(basis, c)
-    dcoef = derivative_op(basis) @ c
-    top = martingales._span(dcoef)
+    phis = [TestFunction(basis, np.r_[c, np.zeros(basis.size - len(c))]) for c in SPAN_PHIS[:count]]
+    dmat = martingales._dmat(phis)
+    top = martingales._span(np.any(dmat, axis=1))
     _, modes = martingales._mn_dual_states(particles, basis, top if keep == "span" else basis.size)
-    mn, qv = martingales._mn_qv_steps(dcoef, particles, modes)
-    want_mn, want_qv = martingales._mn_qv_steps(dcoef, particles)
+    mn, qv = martingales._mn_qv_steps(dmat, particles, modes)
+    assert mn.shape == qv.shape == (count, 40)
+    want_mn, want_qv = martingales._mn_qv_steps(dmat, particles)
     assert np.array_equal(mn, want_mn) and np.array_equal(qv, want_qv)
-    # the scalar paths keep the whole-array recurrence's bits
-    left = particles.positions()[:, :-1]
-    vals = np.zeros(left.shape)
-    if top:
-        vals = np.tensordot(dcoef[:top], oracles.hermite_modes_full(left, top), axes=(0, 0))
-    mn_steps = (vals * particles.increments).sum(axis=0) / np.sqrt(6)
-    qv_steps = (vals * vals).sum(axis=0) * (particles.grid.dt / 6)
-    for path, steps in ((mn_scalar_path, mn_steps), (quadratic_variation_path, qv_steps)):
-        assert np.array_equal(path(phi, particles), np.concatenate([[0.0], np.cumsum(steps)]))
+    # each phi's scalar paths keep the bits of its own whole-array recurrence
+    full = oracles.hermite_modes_full(particles.positions()[:, :-1], basis.size)
+    for a, got in enumerate(zip(*scalar_paths(phis, particles))):
+        want = oracles.mn_qv_steps_per_rep(dmat[:, a].copy(), particles, full)
+        for path, steps in zip(got, want):
+            assert np.array_equal(path, np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def test_scalar_paths_check_their_phis(basis, h0):
+    particles = simulate_particles(3, TimeGrid(1.0, 10), 1)
+    with pytest.raises(ValueError, match="at least one test function"):
+        scalar_paths([], particles)
+    with pytest.raises(ValueError, match="share one basis"):
+        scalar_paths([h0, unit_function(BasisSpec(8, 16), 0)], particles)
 
 
 def _bits(x):
@@ -409,11 +412,14 @@ def test_batched_driver_matches_per_rep(monkeypatch, reps, count, keep, width, t
     assert particles.increments.shape == (reps, count, steps)
     states, modes = martingales._mn_dual_states(particles, basis, keep)
     assert states.shape == (reps, steps + 1, 8) and modes.shape == (keep, reps, count, steps)
-    dcoef = np.zeros(8)
-    dcoef[:keep] = np.random.default_rng(keep).standard_normal(keep)
-    mn, qv = martingales._mn_qv_steps(dcoef, particles, modes)
-    assert mn.shape == qv.shape == (reps, steps)
-    mn_fresh, qv_fresh = martingales._mn_qv_steps(dcoef, particles)  # its own recurrence
+    # phi' spanning 0, 1, 3 and N modes; the kept modes serve those up to keep
+    spans = [0, 1, 3, 8]
+    dmat = np.where(np.arange(8)[:, None] < spans, np.random.default_rng(keep).standard_normal((8, 4)), 0.0)
+    kept = sum(top <= keep for top in spans)
+    mn, qv = martingales._mn_qv_steps(dmat[:, :kept], particles, modes)
+    assert mn.shape == qv.shape == (reps, kept, steps)
+    mn_fresh, qv_fresh = martingales._mn_qv_steps(dmat, particles)  # its own recurrence
+    assert mn_fresh.shape == (reps, 4, steps)
     # each repetition alone, in one time block, in a pool as the reports' blocks
     # run: a one-step block would sum 33 particles pairwise and differ
     monkeypatch.undo()
@@ -423,11 +429,11 @@ def test_batched_driver_matches_per_rep(monkeypatch, reps, count, keep, width, t
         assert np.array_equal(_bits(particles.increments[r]), _bits(one.increments))
         assert np.array_equal(_bits(states[r]), _bits(want_states))
         assert np.array_equal(_bits(modes[:, r]), _bits(want_modes))
-        want_mn, want_qv = oracles.mn_qv_steps_per_rep(dcoef, one, want_modes)
-        for got in (mn[r], mn_fresh[r]):
-            assert np.array_equal(_bits(got), _bits(want_mn))
-        for got in (qv[r], qv_fresh[r]):
-            assert np.array_equal(_bits(got), _bits(want_qv))
+        for a in range(len(spans)):
+            want = oracles.mn_qv_steps_per_rep(dmat[:, a].copy(), one, want_modes if a < kept else None)
+            for got in [(mn_fresh, qv_fresh)] + [(mn, qv)] * (a < kept):
+                for got_steps, want_steps in zip(got, want):
+                    assert np.array_equal(_bits(got_steps[r, a]), _bits(want_steps))
 
 
 def test_qv_variance_shrinks_with_n(basis, h0):
@@ -436,7 +442,7 @@ def test_qv_variance_shrinks_with_n(basis, h0):
     for n in (10, 160):
         vals = np.array(
             [
-                quadratic_variation_path(h0, simulate_particles(n, grid, 9, r))[-1]
+                scalar_paths([h0], simulate_particles(n, grid, 9, r))[1][0, -1]
                 for r in range(600)
             ]
         )
@@ -568,7 +574,7 @@ def test_limit_samplers_match_parent(basis, count, coeffs, steps):
     grid = TimeGrid(1.0, steps)
     phis = [TestFunction(basis, np.r_[c, np.zeros(basis.size - len(c))]) for c in coeffs]
     form = QuadraticForm(basis)
-    factors = _sqrt_factors(form.increment_covariances(grid, form._dmat(phis)))
+    factors = _sqrt_factors(form.increment_covariances(grid, martingales._dmat(phis)))
     assert np.array_equal(
         simulate_limit(phis, grid, count, 21),
         oracles.sample_limit_states(factors, count, 21, 0),

@@ -360,6 +360,10 @@ def test_quantile_rejects_out_of_range(q):
         quantile([1.0, 2.0, 3.0], q)
     with pytest.raises(ValueError, match=r"range \[0, 1\]"):
         np.quantile([1.0, 2.0, 3.0], q)
+    # an empty sample has no order statistics, at a quantile in range too
+    for call in (lambda: quantile([], 0.5), lambda: median([])):
+        with pytest.raises(ValueError, match="empty sample"):
+            call()
 
 
 @pytest.mark.parametrize("kind", ["normal", "ties", "wide"])

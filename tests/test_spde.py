@@ -14,7 +14,7 @@ from nucleartight.spde import (
     tightness_report,
     weak_form_residual,
 )
-from nucleartight.martingales import mn_scalar_path, quadratic_variation_path
+from nucleartight.martingales import scalar_paths
 
 from conftest import scenario, unit_function
 
@@ -42,11 +42,10 @@ def test_dual_path_matches_scalar_sums(basis, grid):
     particles = simulate_particles(30, grid, 1)
     dual = mn_dual_path(particles, basis)
     rng = np.random.default_rng(2)
-    for _ in range(5):
-        phi = TestFunction(basis, rng.standard_normal(basis.size))
-        scalar = mn_scalar_path(phi, particles)
-        projected = dual @ phi.coeffs
-        assert np.abs(scalar - projected).max() < 1e-10
+    phis = [TestFunction(basis, rng.standard_normal(basis.size)) for _ in range(5)]
+    scalar = scalar_paths(phis, particles)[0]
+    for phi, path in zip(phis, scalar):
+        assert np.abs(path - dual @ phi.coeffs).max() < 1e-10
 
 
 def test_dual_path_starts_at_zero(basis, grid):
@@ -58,9 +57,9 @@ def test_empty_block_gives_empty_paths():
     """A block of no repetitions gives ``(0, ...)`` paths from every path function."""
     basis, block = BasisSpec(4, 8), simulate_particles(3, TimeGrid(1.0, 10), 1, range(0))
     assert mn_dual_path(block, basis).shape == (0, 11, 4)
-    phi = TestFunction(basis, np.ones(4))
-    for path in (mn_scalar_path, quadratic_variation_path):
-        assert path(phi, block).shape == (0, 11)
+    phis = [TestFunction(basis, np.ones(4)), TestFunction(basis, np.zeros(4))]
+    for path in scalar_paths(phis, block):
+        assert path.shape == (0, 2, 11)
 
 
 # n * J is odd, so contractions whose length is not a multiple of 4 are
@@ -76,8 +75,9 @@ def test_block_calls_equal_per_repetition_calls(n, steps, size):
     phi = TestFunction(basis, rng.standard_normal(size))
     block = simulate_particles(n, grid, 4, range(reps))
     singles = [simulate_particles(n, grid, 4, rep) for rep in range(reps)]
-    for path in (mn_scalar_path, quadratic_variation_path):
-        assert np.array_equal(path(phi, block), [path(phi, p) for p in singles])
+    phis = [phi, unit_function(basis, 1)]
+    for a, paths in enumerate(scalar_paths(phis, block)):
+        assert np.array_equal(paths, [scalar_paths(phis, p)[a] for p in singles])
     drivers = mn_dual_path(block, basis)
     assert np.array_equal(drivers, [mn_dual_path(p, basis) for p in singles])
 
