@@ -58,6 +58,13 @@ __all__ = [
 ]
 
 
+def _require_int(**fields) -> None:
+    """Raise ``TypeError`` for the first field that is not an integer (a bool is not)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Truncation parameters: ``size`` Hermite modes, ``quad_order`` nodes.
@@ -70,6 +77,7 @@ class BasisSpec:
     quad_order: int
 
     def __post_init__(self) -> None:
+        _require_int(size=self.size, quad_order=self.quad_order)
         if self.size < 2:
             raise ValueError("basis size must be >= 2")
         if self.quad_order < 2 * self.size:
@@ -508,8 +516,8 @@ def heat_flow_ground_state(t: float, x) -> np.ndarray:
     Serves as an independent oracle for :func:`heat_matrix`; it is never used
     in the implementation path.
     """
-    if t < 0:
-        raise ValueError("time must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError("time must be finite and >= 0")
     x = np.asarray(x, dtype=float)
     s = 1.0 + 2.0 * t
     return np.pi ** -0.25 * s ** -0.5 * np.exp(-x * x / (2.0 * s))

@@ -28,6 +28,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -75,10 +76,12 @@ def parallel_map(fn, count: int, threads: int = 1) -> list:
 
     Thread count is a throughput hint only: each work unit derives its own
     random stream from its index, so results are identical for any value.
+    The pool starts at most one thread per unit and per CPU.
     """
-    if threads <= 1 or count <= 1:
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 
 

@@ -32,7 +32,7 @@ from itertools import compress, repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hermite import SeminormIndex, _index_value
+from .hermite import SeminormIndex, _index_value, _require_int
 
 __all__ = [
     "TimeGrid",
@@ -56,6 +56,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not np.isfinite(self.horizon) or self.horizon <= 0:
             raise ValueError("horizon must be positive and finite")
+        _require_int(steps=self.steps)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

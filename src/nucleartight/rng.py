@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 
+import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 
@@ -20,13 +21,16 @@ def stream(seed: int, tag: str, *index: int) -> Generator:
     Parameters
     ----------
     seed : int
-        Global experiment seed (any nonnegative integer, u64 range).
+        Global experiment seed (any nonnegative integer, u64 range; a float
+        or a bool raises ``TypeError``).
     tag : str
         Purpose tag, e.g. ``"particles"`` or ``"initial"``.  Streams with
         different tags are independent even for equal indices.
     index : int
         Zero or more nonnegative stream indices (repetition number, ...).
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if any(i < 0 for i in index):

@@ -100,8 +100,10 @@ def sample_initial(
             raise ValueError("fixed-coeffs initial state needs coeffs")
         return DualElement(basis, np.asarray(coeffs, dtype=float))
     if kind == "gaussian":
-        if r is None or r <= 0.5:
+        if r is None or not r > 0.5:
             raise ValueError("gaussian initial state requires r > 1/2")
+        if not np.isfinite(scale):
+            raise ValueError("gaussian initial state scale must be finite")
         ids = stream_id if isinstance(stream_id, tuple) else (stream_id,)
         gen = stream(seed, tag, *ids)
         k = np.arange(basis.size)
@@ -110,6 +112,13 @@ def sample_initial(
             raise NumericalIntegrityError(f"gaussian initial state of scale {scale!r} overflows")
         return DualElement(basis, coeffs)
     raise ValueError(f"unknown initial-state kind {kind!r}")
+
+
+def _initial_states(eta: dict, basis: BasisSpec, seed: int, tag: str, ids) -> np.ndarray:
+    """``(len(ids), N)`` initial coefficients by the ``eta`` spec: path ``i`` (an
+    index or a tuple of them) draws from the stream ``(tag, *i)`` in any block."""
+    rows = [sample_initial(basis=basis, seed=seed, stream_id=i, tag=tag, **eta).coeffs for i in ids]
+    return np.array(rows).reshape(len(ids), basis.size)
 
 
 # ---------------------------------------------------------------------------
@@ -236,45 +245,19 @@ def _terminal_weights(
     return np.einsum("jkm,jk->jm", factors, v[:, : factors.shape[1]]), flows[-1]
 
 
-def _calibration_sample(solver, weights, flow, rep: int, side: int, size: int) -> np.ndarray:
-    """Terminal values ``<eta, E(T) phi> + sum_j z_j . w_j`` of ``size`` limit
-    paths (see :func:`_terminal_weights`); path ``i`` draws ``z`` from the
-    stream ``("calibration", rep, side, i)`` and ``eta`` from
-    ``("calibration-initial", rep, side, i)``."""
-    out = np.empty(size)
-    for i in range(size):
-        z = stream(solver.seed, "calibration", rep, side, i).standard_normal(weights.shape)
-        out[i] = solver.initial("calibration-initial", rep, side, i) @ flow + np.vdot(z, weights)
+def _calibration_sample(etas, weights, flow, seed: int, rep: int, side: int) -> np.ndarray:
+    """Terminal values ``<eta, E(T) phi> + sum_j z_j . w_j`` of one limit path
+    per row of ``etas`` (see :func:`_terminal_weights`); path ``i`` draws ``z``
+    from the stream ``("calibration", rep, side, i)``."""
+    out = np.empty(len(etas))
+    for i, eta in enumerate(etas):
+        z = stream(seed, "calibration", rep, side, i).standard_normal(weights.shape)
+        out[i] = eta @ flow + np.vdot(z, weights)
     return out
 
 
 # driver states per heat limit chunk, a memory bound only: max(1, _LIMIT_STATES // ((J+1) N)) paths
 _LIMIT_STATES = 4_000_000
-
-
-class _HeatSolver:
-    """The solve steps the reports share on one grid: the initial states and
-    mild solutions of a block of particle- or limit-driven paths.
-
-    Every draw comes from a stream keyed by its path.  Both samples go
-    through :func:`map_blocks`: particle repetitions in the blocks of
-    :func:`run_blocks` and limit paths in chunks of ``_LIMIT_STATES`` driver
-    states, one mild solve per block or chunk (:func:`_mild_states`: two
-    numpy calls per time step).  Each path gets the bits of its lone solve,
-    so no result depends on the block or chunk sizes or on threading.
-    """
-
-    def __init__(self, basis: BasisSpec, grid: TimeGrid, seed: int, eta_spec: dict):
-        self.basis, self.grid, self.seed, self.eta_spec = basis, grid, seed, eta_spec
-
-    def initial(self, tag: str, *ids: int) -> np.ndarray:
-        return sample_initial(basis=self.basis, seed=self.seed, stream_id=ids, tag=tag, **self.eta_spec).coeffs
-
-    def paths(self, drivers: np.ndarray, tag: str, ids):
-        """``(drivers, etas, solutions)`` of the paths ``ids``, one row each:
-        path ``i`` draws its initial state from the stream ``(tag, i)``."""
-        etas = np.array([self.initial(tag, i) for i in ids])
-        return drivers, etas, _mild_states(drivers, etas, self.grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +298,13 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
     gate = float(cfg["residual_gate_factor"]) * grid.dt
     limit_dmat = derivative_op(basis)[:, :limit_modes]  # the first limit_modes coordinates
     factors = _limit_factors(grid, basis, limit_dmat)
-    solver = _HeatSolver(basis, grid, seed, cfg["eta"])
 
-    def reduce(drivers, etas, sols):
-        """Per path: cell values, sup, moduli, the largest weak-form residual
-        over every phi, and the solution itself when paths are collected."""
+    def reduce(drivers, tag, ids):
+        """Solve the paths ``ids`` from the initial-state streams ``(tag, i)``;
+        per path: cell values, sup, moduli, the largest weak-form residual over
+        every phi, and the solution itself when paths are collected."""
+        etas = _initial_states(cfg["eta"], basis, seed, tag, ids)
+        sols = _mild_states(drivers, etas, grid.dt)
         cells = np.concatenate([sols[:, j, None, :] @ c for c, j in cell_vectors], axis=1)
         sup, mods = dual_path_stats(sols, grid, deltas, tightness_index)
         resid = np.max([weak_form_residual(sols, drivers, etas, phi, grid) for phi in phis], axis=0)
@@ -336,7 +321,7 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
 
     # --- limit-driven sample ---------------------------------------------
     def limit_chunk(ids):
-        return reduce(*solver.paths(_limit_driver_chunk(factors, basis, seed, ids), "limit-initial", ids))
+        return reduce(_limit_driver_chunk(factors, basis, seed, ids), "limit-initial", ids)
 
     chunk = max(1, _LIMIT_STATES // ((grid.steps + 1) * basis.size))
     limit_cells, *stats, limit_paths = map_blocks(reps, chunk, threads, limit_chunk)
@@ -346,7 +331,7 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
 
     # --- particle-driven samples ------------------------------------------
     def particle_block(particles):
-        return reduce(*solver.paths(mn_dual_path(particles, basis), "initial", particles.stream_id))
+        return reduce(mn_dual_path(particles, basis), "initial", particles.stream_id)
 
     limit_within = diagnostics.distance_matrix(limit_cells)  # shared by every n
     cells = []
@@ -388,9 +373,13 @@ def heat_convergence_report(cfg: dict, *, threads: int = 1, collect_paths: bool 
         # the horizon is a node of every grid
         weights, flow = _terminal_weights(cal_factors, basis, cal_grid, phis[0].coeffs)
 
+        def sample(rep, side):
+            ids = [(rep, side, i) for i in range(cal["size"])]
+            etas = _initial_states(cfg["eta"], basis, seed, "calibration-initial", ids)
+            return _calibration_sample(etas, weights, flow, seed, rep, side)
+
         def one_calibration(rep):
-            a, b = (_calibration_sample(solver, weights, flow, rep, s, cal["size"]) for s in (0, 1))
-            ks = diagnostics.ks_two_sample(a, b)
+            ks = diagnostics.ks_two_sample(sample(rep, 0), sample(rep, 1))
             return diagnostics.ks_pvalue(ks.statistic, cal["size"], cal["size"])
 
         pvalues = parallel_map(one_calibration, cal["reps"], threads)
@@ -425,11 +414,12 @@ def tightness_report(cfg: dict, *, threads: int = 1):
     n_list, reps, seed = cfg["n_list"], cfg["reps"], cfg["seed"]
     level, gate_ratio = float(cfg["quantile"]), float(cfg["gate_ratio"])
     tightness_index, levels, deltas = _tightness_from(cfg)
-    solver = _HeatSolver(basis, grid, seed, cfg["eta"])
     weights = SeminormIndex(tightness_index).dual_weights(basis.size)
 
     def particle_block(particles):
-        drivers, _, sols = solver.paths(mn_dual_path(particles, basis), "initial", particles.stream_id)
+        drivers = mn_dual_path(particles, basis)
+        etas = _initial_states(cfg["eta"], basis, seed, "initial", particles.stream_id)
+        sols = _mild_states(drivers, etas, grid.dt)
         both = np.stack((drivers, sols), axis=1)  # (reps, driver or solution, J+1, N)
         sups, mods = dual_path_stats(both, grid, deltas, tightness_index)
         ends = np.sqrt(np.sum((both[:, :, -1] * weights) ** 2, axis=-1))

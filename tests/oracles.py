@@ -319,15 +319,14 @@ def calibration_sample_paths(basis, cal_grid, factors, phi, seed, eta_spec, rep,
     drivers on the calibration grid, in the chunks the limit generator formed,
     one mild solve per chunk, read at ``<Y_T, phi>``.  A bit-for-bit reference
     for the old report, so it reuses the package's solver and initial sampler."""
-    from nucleartight.spde import _HeatSolver, _mild_states
+    from nucleartight.spde import _initial_states, _mild_states
 
-    solver = _HeatSolver(basis, cal_grid, seed, eta_spec)
     chunk = max(1, 4_000_000 // ((cal_grid.steps + 1) * basis.size))
     out = []
     for a in range(0, size, chunk):
         idx = range(a, min(a + chunk, size))
         drivers = limit_driver_chunk(factors, basis, cal_grid, seed, "calibration", idx, (rep, side))
-        etas = np.array([solver.initial("calibration-initial", rep, side, i) for i in idx])
+        etas = _initial_states(eta_spec, basis, seed, "calibration-initial", [(rep, side, i) for i in idx])
         out.extend(sol[-1] @ phi for sol in _mild_states(drivers, etas, cal_grid.dt))
     return np.array(out)
 

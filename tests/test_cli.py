@@ -541,14 +541,15 @@ def test_golden_calibration_ranks_match_path_built_oracle(name):
     phi = config._phis_from(cfg, basis)[0].coeffs
     factors = spde._limit_factors(cal_grid, basis, derivative_op(basis)[:, : cfg["limit_modes"]])
     weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
-    solver = spde._HeatSolver(basis, grid, cfg["seed"], cfg["eta"])
     size, pvalues = cal["size"], []
     for rep in range(cal["reps"]):
         sides = []
         for side in (0, 1):
             keys = (cfg["seed"], cfg["eta"], rep, side, size)
             want = oracles.calibration_sample_paths(basis, cal_grid, factors, phi, *keys)
-            got = spde._calibration_sample(solver, weights, flow, rep, side, size)
+            ids = [(rep, side, i) for i in range(size)]
+            etas = spde._initial_states(cfg["eta"], basis, cfg["seed"], "calibration-initial", ids)
+            got = spde._calibration_sample(etas, weights, flow, cfg["seed"], rep, side)
             assert np.array_equal(np.argsort(got), np.argsort(want))
             sides.append(want)
         pvalues.append(ks_pvalue(ks_two_sample(*sides).statistic, size, size))

@@ -46,7 +46,11 @@ def test_basis_spec_validation():
         BasisSpec(1, 4)
     with pytest.raises(ValueError):
         BasisSpec(8, 15)
+    for size, quad_order in [(4.5, 10), (4, 10.0), (True, 4), (4, np.float64(8))]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            BasisSpec(size, quad_order)
     BasisSpec(2, 4)
+    BasisSpec(np.int64(2), np.int32(4))
 
 
 # x shapes of the callers: quadrature nodes, the (particles, steps)
@@ -288,6 +292,13 @@ def test_heat_matrix_overflow_threshold():
 def test_heat_matrix_rejects_nonfinite_time(t):
     with pytest.raises(ValueError, match="time must be finite and >= 0"):
         heat_matrix(t, BasisSpec(8, 16))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [float("inf"), float("nan")])
+def test_heat_flow_ground_state_rejects_nonfinite_time(t):
+    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        heat_flow_ground_state(t, [0.0])
 
 
 def test_heat_matrix_approaches_identity(basis64):

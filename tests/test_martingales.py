@@ -671,6 +671,35 @@ def test_parallel_map_thread_invariance():
     assert one == four
 
 
+@pytest.mark.parametrize(
+    "count, threads, cpus, workers",
+    [(2000, 4096, 8, 8), (3, 4096, 8, 3), (2000, 2, 8, 2), (2000, 4096, None, None), (50, 4, 1, None)],
+    ids=["cpus", "units", "threads", "cpu-count-unknown", "one-cpu"],
+)
+def test_parallel_map_caps_its_workers(monkeypatch, count, threads, cpus, workers):
+    """At most one pool thread per unit and per CPU, whatever ``threads``
+    asks for; one worker maps serially without a pool (``None``)."""
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(martingales, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(martingales.os, "cpu_count", lambda: cpus)
+    assert parallel_map(lambda i: 2 * i, count, threads) == [2 * i for i in range(count)]
+    assert seen == ([] if workers is None else [workers])
+
+
 def test_clt_report_thread_invariance(basis):
     cfg = scenario(
         basis,

@@ -39,6 +39,10 @@ def test_time_grid_validation():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    for steps in (10.5, 10.0, True):
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            TimeGrid(1.0, steps)
+    assert TimeGrid(1.0, np.int64(10)).dt == 0.1
     grid = TimeGrid(2.0, 4)
     assert grid.dt == 0.5
     assert np.array_equal(grid.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])

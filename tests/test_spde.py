@@ -122,6 +122,34 @@ def test_initial_gaussian_requires_summable_index(basis):
         sample_initial("bogus", basis, 4)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [({"r": float("nan")}, "requires r > 1/2"), ({"r": 1.0, "scale": float("nan")}, "scale must be finite")],
+    ids=["r-nan", "scale-nan"],
+)
+def test_initial_gaussian_rejects_nan(basis, spec, message):
+    with pytest.raises(ValueError, match=message):
+        sample_initial("gaussian", basis, 0, **spec)
+
+
+@pytest.mark.parametrize(
+    "eta",
+    [{"kind": "zero"}, {"kind": "fixed-coeffs", "coeffs": list(np.linspace(1.0, -0.5, 16))}, {"kind": "gaussian", "r": 1.0}],
+    ids=["zero", "fixed-coeffs", "gaussian"],
+)
+@pytest.mark.parametrize(
+    "ids",
+    [range(3, 9), simulate_particles(2, TimeGrid(1.0, 4), 5, range(4, 7)).stream_id, [(2, 1, i) for i in range(4)]],
+    ids=["range", "block-stream-ids", "calibration-keys"],
+)
+def test_initial_states_equal_per_path_draws(basis, eta, ids):
+    got = spde._initial_states(eta, basis, 5, "initial", ids)
+    want = [sample_initial(basis=basis, seed=5, stream_id=i, tag="initial", **eta).coeffs for i in ids]
+    assert got.shape == (len(ids), basis.size)
+    assert np.array_equal(got, want)
+    assert spde._initial_states(eta, basis, 5, "initial", range(0)).shape == (0, basis.size)
+
+
 def test_initial_gaussian_dual_norm_moment(basis):
     # E[p'_1(eta)^2] = sum_k (2k+1)^(-4), approx pi^4/96 in the size limit
     k = np.arange(basis.size)
@@ -347,12 +375,11 @@ def test_calibration_functional_matches_mild_solves(basis, eta_spec, cal_steps, 
     cal_grid = TimeGrid(1.0, cal_steps)
     phi = np.r_[0.5, 1.0, np.zeros(basis.size - 2)]
     factors = spde._limit_factors(cal_grid, basis, derivative_op(basis)[:, :modes])
-    # the report samples initial states through its main-grid solver
-    solver = spde._HeatSolver(basis, TimeGrid(1.0, 40), 7, eta_spec)
     weights, flow = spde._terminal_weights(factors, basis, cal_grid, phi)
     assert weights.shape == (cal_steps, modes)
     for rep, side in [(0, 0), (2, 1)]:
-        got = spde._calibration_sample(solver, weights, flow, rep, side, 25)
+        etas = spde._initial_states(eta_spec, basis, 7, "calibration-initial", [(rep, side, i) for i in range(25)])
+        got = spde._calibration_sample(etas, weights, flow, 7, rep, side)
         want = oracles.calibration_sample_paths(basis, cal_grid, factors, phi, 7, eta_spec, rep, side, 25)
         # relative to the sample's scale: a value near zero is a cancellation,
         # and its own relative error says nothing about the functional
