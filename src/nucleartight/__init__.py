@@ -11,8 +11,6 @@ from .config import ConfigError
 from .hermite import (
     BasisSpec,
     DualElement,
-    SeminormFamily,
-    SeminormIndex,
     TestFunction,
     derivative_op,
     dual_norm,

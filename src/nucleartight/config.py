@@ -113,6 +113,7 @@ def materialize(command: str, cfg: dict) -> dict:
     # a fresh copy: a caller may edit the config it gets back
     merged = _merge(copy.deepcopy(_DEFAULTS[command]), {k: v for k, v in cfg.items() if k != "threads"})
     merged["command"] = command
+    _require(isinstance(merged.get("scenario", ""), str), "scenario", "must be a string")
     for key in ("N", "Q"):
         _require(_int_at_least(merged["basis"][key], 1), f"basis.{key}", "must be a positive integer")
     try:

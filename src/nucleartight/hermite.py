@@ -12,7 +12,8 @@ in which every object of interest is a coefficient vector:
 * a distribution ``f`` acting by ``<f, phi> = sum_k f_k c_k``
   (:class:`DualElement`),
 * the graded norm ladder ``p_r(phi)^2 = sum_k (2k+1)^(2r) c_k^2`` and its
-  dual ``p'_r(f)^2 = sum_k (2k+1)^(-2r) f_k^2`` (:class:`SeminormIndex`),
+  dual ``p'_r(f)^2 = sum_k (2k+1)^(-2r) f_k^2``, one rung per plain number
+  ``r >= 0`` (:func:`seminorm`, :func:`dual_norm`, :func:`hs_norm`),
 * the derivative, the 1-d Laplacian and the heat semigroup as ``N x N``
   matrices acting on coefficients.
 
@@ -37,8 +38,6 @@ __all__ = [
     "BasisSpec",
     "TestFunction",
     "DualElement",
-    "SeminormIndex",
-    "SeminormFamily",
     "hermite_functions",
     "hermite_polynomials",
     "quadrature_nodes",
@@ -121,54 +120,18 @@ class DualElement(_Coefficients):
     """A distribution acting on the truncated span by coefficient pairing."""
 
 
-@dataclass(frozen=True)
-class SeminormIndex:
-    """Regularity index ``r`` for the weight rule ``w_k = (2k+1)^r``."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.r) or self.r < 0:
-            raise ValueError("regularity index must be finite and >= 0")
-
-    def weights(self, size: int) -> np.ndarray:
-        k = np.arange(size)
-        return (2.0 * k + 1.0) ** self.r
-
-    def dual_weights(self, size: int) -> np.ndarray:
-        k = np.arange(size)
-        return (2.0 * k + 1.0) ** (-self.r)
+def _rung(r) -> float:
+    """A rung ``r`` of the norm ladder as a float: it must be finite and >= 0."""
+    r = float(r)
+    if not np.isfinite(r) or r < 0:
+        raise ValueError("regularity index must be finite and >= 0")
+    return r
 
 
-@dataclass(frozen=True)
-class SeminormFamily:
-    """Increasing ladder of regularity indices with Hilbert-Schmidt gaps.
-
-    Consecutive gaps must exceed 1/2 so that each inclusion between adjacent
-    rungs has a finite Hilbert-Schmidt norm in the infinite-size limit.
-    """
-
-    indices: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        rs = tuple(_index_value(r) for r in self.indices)
-        if len(rs) < 2:
-            raise ValueError("a seminorm family needs at least two indices")
-        gaps = np.diff(rs)
-        if np.any(gaps <= 0.5):
-            raise ValueError("consecutive index gaps must exceed 1/2")
-        object.__setattr__(self, "indices", rs)
-
-    def inclusion_norms(self, n_terms: int) -> list[float]:
-        """Truncated Hilbert-Schmidt norms of the consecutive inclusions."""
-        return [
-            hs_norm(lo, hi, n_terms)
-            for lo, hi in zip(self.indices[:-1], self.indices[1:])
-        ]
-
-
-def _index_value(r) -> float:
-    return (r if isinstance(r, SeminormIndex) else SeminormIndex(float(r))).r
+def _weights(exponent: float, size: int) -> np.ndarray:
+    """The ladder's weights ``(2k+1)^exponent`` for ``k < size``: ``exponent = r``
+    for ``p_r``, ``-r`` for its dual ``p'_r``."""
+    return (2.0 * np.arange(size) + 1.0) ** exponent
 
 
 # ---------------------------------------------------------------------------
@@ -530,15 +493,13 @@ def heat_flow_ground_state(t: float, x) -> np.ndarray:
 
 def seminorm(phi: TestFunction, r) -> float:
     """Graded norm ``p_r(phi) = (sum_k (2k+1)^(2r) c_k^2)^(1/2)``."""
-    rv = _index_value(r)
-    w = SeminormIndex(rv).weights(phi.basis.size)
+    w = _weights(_rung(r), phi.basis.size)
     return float(np.sqrt(np.sum((w * phi.coeffs) ** 2)))
 
 
 def dual_norm(f: DualElement, r) -> float:
     """Dual graded norm ``p'_r(f) = (sum_k (2k+1)^(-2r) f_k^2)^(1/2)``."""
-    rv = _index_value(r)
-    w = SeminormIndex(rv).dual_weights(f.basis.size)
+    w = _weights(-_rung(r), f.basis.size)
     return float(np.sqrt(np.sum((w * f.coeffs) ** 2)))
 
 
@@ -555,18 +516,18 @@ def hs_norm(r, s, n_terms: int) -> float:
     Equals ``(sum_{k < n_terms} (2k+1)^(-2(s-r)))^(1/2)``; as ``n_terms`` grows
     it converges exactly when ``s - r > 1/2``.
     """
-    rv, sv = _index_value(r), _index_value(s)
+    rv, sv = _rung(r), _rung(s)
     if sv <= rv:
         raise ValueError("need s > r: the identity inclusion is never Hilbert-Schmidt")
+    _require_int(n_terms=n_terms)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    k = np.arange(n_terms)
-    return float(np.sqrt(np.sum((2.0 * k + 1.0) ** (-2.0 * (sv - rv)))))
+    return float(np.sqrt(np.sum(_weights(-2.0 * (sv - rv), n_terms))))
 
 
 def hs_inclusion_converges(r, s) -> bool:
     """Whether the inclusion's Hilbert-Schmidt norm stays finite as size grows."""
-    rv, sv = _index_value(r), _index_value(s)
+    rv, sv = _rung(r), _rung(s)
     if sv <= rv:
         raise ValueError("need s > r")
     return (sv - rv) > 0.5
@@ -578,8 +539,10 @@ def hs_tail_bound(r, s, n_terms: int) -> float:
     For gap ``g = s - r > 1/2`` the tail ``sum_{k >= n} (2k+1)^(-2g)`` is
     dominated by ``(2n+1)^(1-2g) / (2g-1)`` (integral comparison).
     """
-    rv, sv = _index_value(r), _index_value(s)
-    g = sv - rv
+    g = _rung(s) - _rung(r)
     if g <= 0.5:
         raise ValueError("tail bound requires gap > 1/2")
+    _require_int(n_terms=n_terms)
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
     return float((2.0 * n_terms + 1.0) ** (1.0 - 2.0 * g) / (2.0 * g - 1.0))

@@ -32,7 +32,7 @@ from itertools import compress, repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hermite import SeminormIndex, _index_value, _require_int
+from .hermite import _require_int, _rung, _weights
 
 __all__ = [
     "TimeGrid",
@@ -118,7 +118,7 @@ def dual_path_stats(states, grid: TimeGrid, deltas, r):
     """
     s = _dual_states(states, grid)
     lags = [_max_lag(grid, float(d)) for d in deltas]
-    s = s * SeminormIndex(_index_value(r)).dual_weights(s.shape[-1])
+    s = s * _weights(-_rung(r), s.shape[-1])
     sq = (s * s).sum(axis=-1)
     sup = np.sqrt(sq.max(axis=-1))
     top = max(lags, default=0)

@@ -14,6 +14,8 @@ import zlib
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
+__all__ = ["stream"]
+
 
 def stream(seed: int, tag: str, *index: int) -> Generator:
     """Return an independent generator keyed by ``(seed, tag, index...)``.
@@ -27,10 +29,12 @@ def stream(seed: int, tag: str, *index: int) -> Generator:
         Purpose tag, e.g. ``"particles"`` or ``"initial"``.  Streams with
         different tags are independent even for equal indices.
     index : int
-        Zero or more nonnegative stream indices (repetition number, ...).
+        Zero or more nonnegative stream indices (repetition number, ...);
+        like the seed, a float or a bool raises ``TypeError``.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+    for name, value in (("seed", seed), *(("stream index", i) for i in index)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if any(i < 0 for i in index):

@@ -31,8 +31,8 @@ from .config import _basis_from, _grid_from, _phis_from, _tightness_from, materi
 from .hermite import (
     BasisSpec,
     DualElement,
-    SeminormIndex,
     TestFunction,
+    _weights,
     derivative_op,
     heat_matrix,
     laplacian_op,
@@ -106,8 +106,7 @@ def sample_initial(
             raise ValueError("gaussian initial state scale must be finite")
         ids = stream_id if isinstance(stream_id, tuple) else (stream_id,)
         gen = stream(seed, tag, *ids)
-        k = np.arange(basis.size)
-        coeffs = gen.standard_normal(basis.size) * (float(scale) * (2.0 * k + 1.0) ** (-float(r)))
+        coeffs = gen.standard_normal(basis.size) * (float(scale) * _weights(-float(r), basis.size))
         if not np.all(np.isfinite(coeffs)):
             raise NumericalIntegrityError(f"gaussian initial state of scale {scale!r} overflows")
         return DualElement(basis, coeffs)
@@ -414,7 +413,7 @@ def tightness_report(cfg: dict, *, threads: int = 1):
     n_list, reps, seed = cfg["n_list"], cfg["reps"], cfg["seed"]
     level, gate_ratio = float(cfg["quantile"]), float(cfg["gate_ratio"])
     tightness_index, levels, deltas = _tightness_from(cfg)
-    weights = SeminormIndex(tightness_index).dual_weights(basis.size)
+    weights = _weights(-tightness_index, basis.size)
 
     def particle_block(particles):
         drivers = mn_dual_path(particles, basis)

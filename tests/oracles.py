@@ -100,12 +100,12 @@ def dual_path_stats_dense(states, grid, deltas, r):
     A bit-for-bit reference, so it reuses the package's lag rule and dual
     weights.
     """
-    from nucleartight.hermite import SeminormIndex
+    from nucleartight.hermite import _weights
     from nucleartight.paths import _max_lag
 
     s = np.asarray(states, dtype=float)
     lags = [_max_lag(grid, float(d)) for d in deltas]
-    s = s * SeminormIndex(float(r)).dual_weights(s.shape[-1])
+    s = s * _weights(-float(r), s.shape[-1])
     sup = np.sqrt((s * s).sum(axis=-1).max(axis=-1))
     top = max(lags, default=0)
     best = np.zeros(s.shape[:-2] + (top + 1,))

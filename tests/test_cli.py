@@ -29,6 +29,8 @@ GOLDEN_HASHES = {
     "heat-fixed": "8ca73d014021feb9b92b5e9ba706f6480f890ab6f4d52f5a15c2012b5c8e35e8",
     "tightness-gaussian": "cfb7632a44ebf2757867cde4965caa02d52e7b91eba5438332911826cf8104e7",
     "clt-edge": "644e09d30311a0855f2635ddc9de295cf75ec94504dc04915ec5b439d9439c13",
+    "basis-default": "65ba1bd86377e6b0a8e3d78e4eddaeb8cfaa28e64adda93d2379b5ec932decf7",
+    "basis-minimal": "9ee050b3d9a2b883ea531baeddbd9d15ff961cd54be71d8920f1a2726e50a97d",
 }
 
 # sha256 of the heat-smoke ``--dump-paths`` files
@@ -143,11 +145,13 @@ def test_basis_check_default(tmp_path):
     meta = report["metadata"]
     assert {"config", "config_sha256", "seed", "versions"} <= set(meta)
     assert "threads" not in meta["config"]
+    assert hash_without_versions(report) == GOLDEN_HASHES["basis-default"]
 
 
 def test_basis_check_minimal(tmp_path):
     out = tmp_path / "out"
     assert run(["basis-check", "--config", "basis-minimal", "--out", str(out)]) == 0
+    assert hash_without_versions(read_report(out)) == GOLDEN_HASHES["basis-minimal"]
 
 
 def test_basis_check_reports_divergence_flag(tmp_path):
@@ -273,6 +277,9 @@ BAD_BASE = {"basis": {"N": 16, "Q": 32}, "grid": {"T": 1.0, "J": 10}, "n_list": 
         ("heat", {"calibration": {"reps": True}}, "calibration.reps"),
         ("tightness", {"reps": 4.0}, "reps"),
         ("clt", {"times": ["0.5"]}, "times"),
+        ("clt", {"scenario": 5}, "scenario"),
+        ("heat", {"scenario": None}, "scenario"),
+        ("tightness", {"scenario": ["x"]}, "scenario"),
     ],
 )
 def test_rejects_bad_config(tmp_path, capsys, command, override, field):

@@ -9,8 +9,6 @@ from nucleartight import hermite
 from nucleartight.hermite import (
     BasisSpec,
     DualElement,
-    SeminormFamily,
-    SeminormIndex,
     TestFunction,
     derivative_op,
     dual_norm,
@@ -426,23 +424,46 @@ def test_hs_norm_rejects_bad_indices():
     with pytest.raises(ValueError):
         hs_norm(1.0, 1.0, 10)
     with pytest.raises(ValueError):
-        hs_norm(SeminormIndex(2.0), SeminormIndex(1.0), 10)
+        hs_norm(2.0, 1.0, 10)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        hs_norm(-0.5, 1.0, 10)
 
 
-def test_seminorm_family_gaps():
-    family = SeminormFamily((0.0, 0.75, 1.5))
-    assert len(family.inclusion_norms(100)) == 2
-    with pytest.raises(ValueError):
-        SeminormFamily((0.0, 0.5))
-    with pytest.raises(ValueError):
-        SeminormFamily((1.0,))
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: hs_norm(0, 1, 2.5), TypeError, "n_terms must be an integer, not float"),
+        (lambda: hs_norm(0, 1, True), TypeError, "n_terms must be an integer, not bool"),
+        (lambda: hs_norm(0, 1, 0), ValueError, "n_terms must be >= 1"),
+        (lambda: hs_tail_bound(0, 1, -1), ValueError, "n_terms must be >= 0"),
+        (lambda: hs_tail_bound(0, 0.8, -1), ValueError, "n_terms must be >= 0"),
+        (lambda: hs_tail_bound(0, 1, 1.0), TypeError, "n_terms must be an integer, not float"),
+    ],
+    ids=["norm-float", "norm-bool", "norm-zero", "tail-negative", "tail-negative-fractional-gap", "tail-float"],
+)
+def test_hs_series_reject_bad_term_counts(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_hs_series_accept_numpy_integer_term_counts():
+    assert hs_norm(0, 1, np.int64(10)) == hs_norm(0, 1, 10)
+    assert hs_tail_bound(0, 1, np.int32(0)) == hs_tail_bound(0, 1, 0) == 1.0
 
 
 def test_seminorm_index_validation():
-    with pytest.raises(ValueError):
-        SeminormIndex(-0.5)
-    weights = SeminormIndex(1.0).weights(4)
-    assert np.array_equal(weights, [1.0, 3.0, 5.0, 7.0])
+    basis = BasisSpec(4, 8)
+    phi, f = TestFunction(basis, np.ones(4)), DualElement(basis, np.ones(4))
+    for r in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            seminorm(phi, r)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            dual_norm(f, r)
+    # the weights (2k+1)^r at r = 1 are 1, 3, 5, 7
+    for k, w in enumerate([1.0, 3.0, 5.0, 7.0]):
+        e_k = np.eye(4)[k]
+        assert seminorm(TestFunction(basis, e_k), 1) == w
+        assert dual_norm(DualElement(basis, e_k), 1) == 1.0 / w
 
 
 # ---------------------------------------------------------------------------
