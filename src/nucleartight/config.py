@@ -73,6 +73,9 @@ _DEFAULTS = {
 # one (phi, t) cell took 0.4 s for phi = h_0 and 5 s for a phi of all 64 modes (N = 64, one thread)
 _CLT_MAX_TIME = 1000.0
 
+# the most hs.n_terms: hs_norm sums that many weights, about 8 MB per float64 array
+_HS_MAX_TERMS = 1_000_000
+
 # keys a config may hold besides its command's defaults; ``command`` is the
 # echo a materialized config carries
 _EXTRA_KEYS = {"": {"scenario", "command"}, "eta": {"r", "scale", "coeffs"}}
@@ -121,7 +124,12 @@ def materialize(command: str, cfg: dict) -> dict:
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"field basis: {exc}") from exc
     if command == "basis-check":
-        _require(_int_at_least(merged["hs"]["n_terms"], 1), "hs.n_terms", "must be an integer >= 1")
+        n_terms = merged["hs"]["n_terms"]
+        _require(
+            _int_at_least(n_terms, 1) and n_terms <= _HS_MAX_TERMS,
+            "hs.n_terms",
+            f"must be an integer in [1, {_HS_MAX_TERMS:,}]",
+        )
         _require(_int_at_least(merged["random_pairs"], 0), "random_pairs", "must be an integer >= 0")
         _check_basis_fields(merged, basis)
     else:
@@ -215,7 +223,8 @@ def _check_basis_fields(cfg: dict, basis: BasisSpec) -> None:
 
 
 def _check_step_semigroup(grid: TimeGrid, basis: BasisSpec, field: str) -> None:
-    """The mild solver steps by ``E(dt)``, which overflows at huge steps."""
+    """A step whose semigroup ``E(dt)`` overflows is a config error: the heat
+    calibration weights step by ``E(dt)``, and it bounds every SPDE grid's step."""
     try:
         heat_matrix(grid.dt, basis)
     except ValueError as exc:

@@ -121,7 +121,10 @@ class DualElement(_Coefficients):
 
 
 def _rung(r) -> float:
-    """A rung ``r`` of the norm ladder as a float: it must be finite and >= 0."""
+    """A rung ``r`` of the norm ladder as a float: it must be finite and >= 0.
+    A bool or a string is a ``TypeError``, as it is for the integer fields."""
+    if isinstance(r, (bool, np.bool_, str, bytes)):
+        raise TypeError(f"regularity index must be a number, not {type(r).__name__}")
     r = float(r)
     if not np.isfinite(r) or r < 0:
         raise ValueError("regularity index must be finite and >= 0")

@@ -23,11 +23,11 @@ from nucleartight.spde import heat_convergence_report, tightness_report
 # leave these bytes alone
 GOLDEN_HASHES = {
     "clt-smoke": "5e70edb449fc0d42da18a4aafea4e3d1e08158bb433e0b338267ab273832fd3e",
-    "heat-smoke": "cb272a56f817670ed0f9c139c06c3b30c7f912cfbc42c826a27769434eb86b85",
-    "tightness-smoke": "2c40c84cc753be75aa80241c2457e43d81a2e042b4fee6f374a3844b16d45fcd",
-    "heat-gaussian": "a4c462efcaf62c9fc5d418b992159590e779ee7a95533252174c8e5d3e002c6a",
-    "heat-fixed": "8ca73d014021feb9b92b5e9ba706f6480f890ab6f4d52f5a15c2012b5c8e35e8",
-    "tightness-gaussian": "cfb7632a44ebf2757867cde4965caa02d52e7b91eba5438332911826cf8104e7",
+    "heat-smoke": "329ad89ee131a227ede6b68de584c5e78e1bd914c9cbcd9fb77a48c36f677356",
+    "tightness-smoke": "cea15addec5d0554ced572eb86039f195dcdfc2da4a759fb471cdb93e7513892",
+    "heat-gaussian": "a5a9d40b0834105dfdc8ca42962790c13de05a4b4c9b32cd9d53929062d5bf72",
+    "heat-fixed": "1829a107da0a8953676fa299f23577eb7a59e899368de3c1b11cd228eee95351",
+    "tightness-gaussian": "c4dc85a9ea292362462f50c4151f383815c9a3299a6f78bbe0e1fd1469addda9",
     "clt-edge": "644e09d30311a0855f2635ddc9de295cf75ec94504dc04915ec5b439d9439c13",
     "basis-default": "65ba1bd86377e6b0a8e3d78e4eddaeb8cfaa28e64adda93d2379b5ec932decf7",
     "basis-minimal": "9ee050b3d9a2b883ea531baeddbd9d15ff961cd54be71d8920f1a2726e50a97d",
@@ -35,8 +35,8 @@ GOLDEN_HASHES = {
 
 # sha256 of the heat-smoke ``--dump-paths`` files
 DUMP_HASHES = {
-    "heat-5-dual.csv": "cc06ad4887bf802960cc2badcf9e9b08644018253625c9650fc78845f1f0525f",
-    "heat-limit-dual.csv": "f691da8a1f0aedf117024d2e3215149ed46796a3c025535f8dc46f924a027243",
+    "heat-5-dual.csv": "2aa75453112b599693d5431657c091261f85c2bb65ed3d845d32f05bde6cf022",
+    "heat-limit-dual.csv": "1cc3309db8aec5ace4aa7102370939edf7e12084fb230d301fac7dddf4d6521d",
 }
 
 # sha256 of the basis-default ``--dump-paths`` operator matrices
@@ -495,6 +495,19 @@ def test_clt_rejects_times_beyond_the_bound(tmp_path, capsys):
     # heat never evaluates A(t, phi): its E(dt) rule alone bounds its times
     assert config.materialize("heat", {**at_bound, "times": [1.5 * bound], "limit_modes": 4})["times"] == [1.5 * bound]
 
+
+
+def test_basis_check_bounds_hs_term_count(tmp_path, capsys):
+    """``hs.n_terms`` sizes the arrays ``hs_norm`` sums: a billion terms would
+    ask for about 16 GB, so past the bound it is a one-line config error."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"basis": {"N": 8, "Q": 16}, "hs": {"n_terms": config._HS_MAX_TERMS + 1}}))
+    assert run(["basis-check", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: field hs.n_terms: must be an integer in [1, 1,000,000]\n"
+    assert not (tmp_path / "o").exists()
+    at_bound = {"basis": {"N": 8, "Q": 16}, "hs": {"n_terms": config._HS_MAX_TERMS}}
+    assert config.materialize("basis-check", at_bound)["hs"]["n_terms"] == 1_000_000
 
 def test_dump_paths_writes_csv(tmp_path):
     out = tmp_path / "out"

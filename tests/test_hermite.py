@@ -466,6 +466,17 @@ def test_seminorm_index_validation():
         assert dual_norm(DualElement(basis, e_k), 1) == 1.0 / w
 
 
+@pytest.mark.parametrize("r", [True, False, np.True_, "1", b"1"], ids=["true", "false", "numpy-bool", "str", "bytes"])
+def test_norm_ladder_rejects_bool_and_string_rungs(r):
+    """``float`` would read ``True`` and ``"1"`` as the rung 1; like the
+    integer fields, the ladder takes neither."""
+    basis = BasisSpec(4, 8)
+    phi, f = TestFunction(basis, np.ones(4)), DualElement(basis, np.ones(4))
+    for call in (lambda: seminorm(phi, r), lambda: dual_norm(f, r), lambda: hs_norm(r, 2.0, 10), lambda: hs_tail_bound(0.0, r, 10)):
+        with pytest.raises(TypeError, match="regularity index must be a number, not"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nucleartight import spde
+from nucleartight import hermite, spde
 from nucleartight.hermite import BasisSpec, DualElement, TestFunction, derivative_op, heat_matrix, laplacian_op
 from nucleartight.martingales import NumericalIntegrityError, simulate_particles
 from nucleartight.paths import TimeGrid, containment_summary, dual_path_stats, modulus_dual, sup_dual_norm
@@ -206,9 +206,11 @@ def test_pure_heat_flow(basis, grid):
 @pytest.mark.parametrize("nonzero_eta", [False, True], ids=["zero-eta", "eta"])
 @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 2)], ids=["one-path", "batch-1", "batch-3", "batch-2x2"])
 def test_mild_states_match_per_step_loop(lead, nonzero_eta):
-    """Every path of any lead shape keeps the bits of the per-step loop run
-    on that path alone.  For N = 17, 18 and 67 a row of a matrix product
-    over the batch would also round differently with the batch size."""
+    """Every path of any lead shape keeps the bits of its lone solve, and
+    stays within 5e-14 of the largest state of the per-step loop on the Pade
+    ``E(dt)``.  N = 17 and 67 give parity blocks of unequal size; for N = 17,
+    18 and 67 a row of a matrix product over the batch would also round
+    differently with the batch size."""
     rng = np.random.default_rng(len(lead))
     for size in (6, 17, 18, 67):
         shape = lead + (31, size)
@@ -225,23 +227,44 @@ def test_mild_states_match_per_step_loop(lead, nonzero_eta):
         got = spde._mild_states(driver, eta, dt)
         assert got.shape == shape and got.flags.c_contiguous
         for path in np.ndindex(lead):
+            lone = spde._mild_states(driver[path].copy(), eta[path].copy(), dt)
+            assert np.array_equal(got[path].view(np.int64), lone.view(np.int64))
             want = oracles.mild_states_loop(driver[path], eta[path], *ops)
-            assert np.array_equal(got[path].view(np.int64), want.view(np.int64))
+            assert np.max(np.abs(got[path] - want)) <= 5e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("nonzero_eta", [False, True], ids=["zero-eta", "eta"])
-@pytest.mark.parametrize("size, steps", [(8, 400), (32, 200), (64, 100)])
-def test_mild_states_near_long_double_mild_form(size, steps, nonzero_eta):
-    """The one-accumulator solve stays within 5e-14 of the largest state of a
-    long-double evaluation of the mild form with its flow and its Duhamel sum
-    kept apart, on the same float64 ``E(dt)`` and ``Lap``."""
+@pytest.mark.parametrize(
+    "size, steps, horizon",
+    [
+        pytest.param(8, 400, 1.0, id="8-400"),
+        pytest.param(32, 200, 1.0, id="32-200"),
+        pytest.param(64, 100, 1.0, id="64-100"),
+        pytest.param(128, 100, 1.0, id="128-100"),
+        # |lam_min| T > 600: the scan runs in several chunks
+        pytest.param(64, 200, 10.0, id="several-chunks"),
+        # |lam_min| dt > 600: one step per chunk
+        pytest.param(8, 5, 400.0, id="one-step-chunks"),
+        # Lap = 0, lam = 0, and the odd block is empty
+        pytest.param(1, 100, 1.0, id="1-100"),
+    ],
+)
+def test_mild_states_near_long_double_mild_form(size, steps, horizon, nonzero_eta):
+    """The scan stays within 5e-14 of the largest state of a long-double
+    evaluation of the mild form with its flow and its Duhamel sum kept apart,
+    on the float64 Pade ``E(dt)`` and ``Lap``."""
     rng = np.random.default_rng(size)
-    basis, dt = BasisSpec(size, 2 * size), TimeGrid(1.0, steps).dt
+    dt = TimeGrid(horizon, steps).dt
     driver = np.cumsum(rng.standard_normal((steps + 1, size)), axis=0) / np.sqrt(steps)
     driver[0] = 0.0
     eta = rng.standard_normal(size) * (2.0 * np.arange(size) + 1.0) ** -1.0 if nonzero_eta else np.zeros(size)
+    if horizon > 1.0:
+        # the chunked cases run the chunks they claim
+        chunk = spde._scan_operators(size, dt)[0]
+        assert chunk == 1 if dt > 1.0 else 1 < chunk < steps
     got = spde._mild_states(driver, eta, dt)
-    want = oracles.mild_states_longdouble(driver, eta, heat_matrix(dt, basis), laplacian_op(basis), dt)
+    # the operators by size: a basis needs N >= 2
+    want = oracles.mild_states_longdouble(driver, eta, hermite._heat_matrix(dt, size), hermite._laplacian_op(size), dt)
     assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
 
 
