@@ -223,8 +223,8 @@ def _check_basis_fields(cfg: dict, basis: BasisSpec) -> None:
 
 
 def _check_step_semigroup(grid: TimeGrid, basis: BasisSpec, field: str) -> None:
-    """A step whose semigroup ``E(dt)`` overflows is a config error: the heat
-    calibration weights step by ``E(dt)``, and it bounds every SPDE grid's step."""
+    """A step whose semigroup ``E(dt)`` overflows is a config error.  It bounds
+    every SPDE grid's step, far below the steps that overflow the mild scan."""
     try:
         heat_matrix(grid.dt, basis)
     except ValueError as exc:

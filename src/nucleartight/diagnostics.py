@@ -210,10 +210,8 @@ def _samples(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunks(size: int, count: int) -> list[slice]:
-    """The row ranges of ``np.array_split`` into ``count`` chunks."""
-    small, extra = divmod(size, count)
-    edges = np.cumsum([0] + [small + 1] * extra + [small] * (count - extra))
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    """The row ranges of ``np.array_split`` into ``count <= size`` chunks."""
+    return [slice(rows[0], rows[-1] + 1) for rows in np.array_split(np.arange(size), count)]
 
 
 def _mean_distances(matrix, rows, cols, within: bool) -> np.ndarray:

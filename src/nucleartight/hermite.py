@@ -64,6 +64,13 @@ def _require_int(**fields) -> None:
             raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
 
 
+def _require_number(**fields) -> None:
+    """Raise ``TypeError`` for the first field that is a bool or a string: a number is meant."""
+    for name, value in fields.items():
+        if isinstance(value, (bool, np.bool_, str, bytes)):
+            raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Truncation parameters: ``size`` Hermite modes, ``quad_order`` nodes.
@@ -123,8 +130,7 @@ class DualElement(_Coefficients):
 def _rung(r) -> float:
     """A rung ``r`` of the norm ladder as a float: it must be finite and >= 0.
     A bool or a string is a ``TypeError``, as it is for the integer fields."""
-    if isinstance(r, (bool, np.bool_, str, bytes)):
-        raise TypeError(f"regularity index must be a number, not {type(r).__name__}")
+    _require_number(**{"regularity index": r})
     r = float(r)
     if not np.isfinite(r) or r < 0:
         raise ValueError("regularity index must be finite and >= 0")
@@ -346,8 +352,8 @@ def heat_matrix(t: float, basis: BasisSpec) -> np.ndarray:
 
 
 # The operators are cached on the basis size alone: none reads the quadrature
-# order, so a config check on BasisSpec(N, Q) and the mild solver on
-# BasisSpec(N, 2N) share one E(dt).
+# order, so a config check on BasisSpec(N, Q) and the solvers on
+# BasisSpec(N, 2N) share one D, one Lap and one E(t) per time.
 @lru_cache(maxsize=32)
 def _derivative_op(size: int) -> np.ndarray:
     d = np.zeros((size, size))

@@ -32,7 +32,7 @@ from itertools import compress, repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hermite import _require_int, _rung, _weights
+from .hermite import _require_int, _require_number, _rung, _weights
 
 __all__ = [
     "TimeGrid",
@@ -41,7 +41,6 @@ __all__ = [
     "dual_path_stats",
     "containment_summary",
     "quantile",
-    "median",
     "write_array_csv",
 ]
 
@@ -351,8 +350,9 @@ def quantile(values, q: float) -> np.ndarray:
     of a run.  The virtual index ``(n - 1) q`` falls between the sorted
     values ``lo`` and ``hi``, and ``lo + (hi - lo) g`` is computed as
     ``hi - (hi - lo) (1 - g)`` when the fraction ``g >= 1/2``, as numpy's
-    ``_lerp`` does.
+    ``_lerp`` does.  A bool or a string for ``q`` raises ``TypeError``.
     """
+    _require_number(q=q)
     if not 0 <= q <= 1:
         raise ValueError("quantiles must be in the range [0, 1]")
     s = np.sort(np.asarray(values, dtype=float), axis=0)
@@ -363,16 +363,6 @@ def quantile(values, q: float) -> np.ndarray:
     lo, hi = s[i], s[min(i + 1, s.shape[0] - 1)]
     g = index - i
     return hi - (hi - lo) * (1 - g) if g >= 0.5 else lo + (hi - lo) * g
-
-
-def median(values) -> np.ndarray:
-    """``np.median(values, axis=0)`` bit for bit, without ``numpy.ma``:
-    the middle sorted value, or the mean ``(a + b) / 2`` of the middle two."""
-    s = np.sort(np.asarray(values, dtype=float), axis=0)
-    if not len(s):
-        raise ValueError("empty sample")
-    mid = s.shape[0] // 2
-    return s[mid] if s.shape[0] % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
 # ---------------------------------------------------------------------------

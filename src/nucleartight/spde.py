@@ -40,9 +40,9 @@ from .hermite import (
     TestFunction,
     _as_readonly,
     _laplacian_op,
+    _require_number,
     _weights,
     derivative_op,
-    heat_matrix,
     laplacian_op,
 )
 from .martingales import (
@@ -57,7 +57,7 @@ from .martingales import (
     parallel_map,
     run_blocks,
 )
-from .paths import TimeGrid, _dual_states, containment_summary, dual_path_stats, median, quantile
+from .paths import TimeGrid, _dual_states, containment_summary, dual_path_stats, quantile
 from .rng import stream
 
 __all__ = [
@@ -98,8 +98,9 @@ def sample_initial(
     Normal(0, scale^2 (2k+1)^(-2r)) and requires ``r > 1/2`` so the dual
     norm stays summable as the truncation grows.  It uses the stream keyed
     by ``(seed, tag, *stream_id)`` (one index or a tuple of them),
-    independent of every particle stream.  A draw too large for floating
-    point raises :class:`NumericalIntegrityError`.
+    independent of every particle stream.  A bool or a string for ``r`` or
+    ``scale`` raises ``TypeError``; a draw too large for floating point
+    raises :class:`NumericalIntegrityError`.
     """
     if kind == "zero":
         return DualElement(basis, np.zeros(basis.size))
@@ -108,6 +109,7 @@ def sample_initial(
             raise ValueError("fixed-coeffs initial state needs coeffs")
         return DualElement(basis, np.asarray(coeffs, dtype=float))
     if kind == "gaussian":
+        _require_number(r=r, scale=scale)
         if r is None or not r > 0.5:
             raise ValueError("gaussian initial state requires r > 1/2")
         if not np.isfinite(scale):
@@ -153,10 +155,13 @@ def _scan_operators(size: int, dt: float) -> tuple[int, tuple]:
     ``(V lam, V, exp(lam dt i) for i = 1..c, exp(-lam dt l) for l < c, dt V^T)``.
 
     ``|lam_min| dt (c - 1) <= 600`` keeps every power finite; ``c = 1`` when a
-    single step exceeds that, and ``c`` is at most ``_CHUNK_ROWS``.
+    single step exceeds that, and ``c`` is at most ``_CHUNK_ROWS``.  A step
+    whose ``|lam_min| dt`` overflows raises :class:`NumericalIntegrityError`.
     """
     blocks = _laplacian_blocks(size)
     rate = -dt * min(float(lam.min(initial=0.0)) for lam, _ in blocks)
+    if not np.isfinite(rate):  # lam dt = -inf would make exp(-lam dt l) NaN at l = 0
+        raise NumericalIntegrityError(f"heat step dt = {dt!r} overflows the scan's exponents")
     chunk = _CHUNK_ROWS if rate * (_CHUNK_ROWS - 1) <= 600.0 else 1 + int(600.0 // rate)
     steps = np.arange(chunk + 1.0)[:, None]
     ops = tuple(
@@ -186,8 +191,8 @@ def _mild_states(driver_states: np.ndarray, eta_coeffs: np.ndarray, dt: float) -
     Each path is solved on its own and written straight into the result, so
     every path of any batch gets the bits of its lone solve.  The states are
     within 5e-14 of the largest state of the per-step form on the Pade
-    ``E(dt)`` (1.6e-14 at N = 64, J = 1000).  An overflowing ``eta / dt``
-    raises :class:`NumericalIntegrityError`.
+    ``E(dt)`` (1.6e-14 at N = 64, J = 1000).  An overflowing ``eta / dt`` or
+    ``|lam_min| dt`` raises :class:`NumericalIntegrityError`.
     """
     with np.errstate(over="ignore"):
         start = eta_coeffs / dt
@@ -281,13 +286,11 @@ def _terminal_weights(
     By duality with the left-point Duhamel sum of :func:`_mild_states`, step
     ``j``'s increment ``F_j z_j`` enters with ``v_j = phi + dt sum_{j<l<J}
     Lap E(T - t_l) phi``, so ``w_j = F_j^T v_j[:m]``.  Returns ``(w, E(T) phi)``.
+    The flows ``E(k dt) phi`` are the mild solve from ``phi`` with a zero
+    driver, the scan every solved path goes through.
     """
-    e_dt, lap = heat_matrix(grid.dt, basis), laplacian_op(basis)
-    flows = np.empty((grid.steps + 1, basis.size))  # flows[k] = E(k dt) phi
-    flows[0] = phi
-    for k in range(1, grid.steps + 1):
-        flows[k] = e_dt @ flows[k - 1]
-    tails = _cumulative(flows[1:-1] @ lap, axis=0)  # tails[i] = sum_{k=1..i} Lap E(k dt) phi
+    flows = _mild_states(np.zeros((grid.steps + 1, basis.size)), phi, grid.dt)  # flows[k] = E(k dt) phi
+    tails = _cumulative(flows[1:-1] @ laplacian_op(basis), axis=0)  # tails[i] = sum_{k=1..i} Lap E(k dt) phi
     v = phi + grid.dt * tails[::-1]
     return np.einsum("jkm,jk->jm", factors, v[:, : factors.shape[1]]), flows[-1]
 
@@ -479,7 +482,7 @@ def tightness_report(cfg: dict, *, threads: int = 1):
         for name, i in (("driver", 0), ("solution", 1)):
             cell[name] = containment_summary(sups[:, i], mods[:, i], levels, deltas)
             cell[name]["sup_quantile"] = float(quantile(sups[:, i], level))
-            cell[name]["end_norm_median"] = float(median(ends[:, i]))
+            cell[name]["end_norm_median"] = float(quantile(ends[:, i], 0.5))
         cells.append(cell)
 
     q_values = np.array([cell["driver"]["sup_quantile"] for cell in cells])

@@ -284,6 +284,24 @@ def mild_states_longdouble(driver_states, eta_coeffs, e_dt, lap, dt):
     return out
 
 
+def terminal_weights_per_step(factors, basis, grid, phi):
+    """``spde._terminal_weights`` as first built, flows ``E(k dt) phi`` by ``J``
+    matvecs of the Pade ``E(dt)``, one per step: ``(w, E(T) phi)`` with
+    ``w_j = F_j^T v_j[:m]``, ``v_j = phi + dt sum_{j<l<J} Lap E(T - t_l) phi``.
+    An accuracy reference for the weights from the mild scan."""
+    from nucleartight.hermite import heat_matrix, laplacian_op
+
+    e_dt, lap = heat_matrix(grid.dt, basis), laplacian_op(basis)
+    flows = np.empty((grid.steps + 1, basis.size))
+    flows[0] = phi
+    for k in range(1, grid.steps + 1):
+        flows[k] = e_dt @ flows[k - 1]
+    tails = np.zeros((grid.steps, basis.size))  # tails[i] = sum_{k=1..i} Lap E(k dt) phi
+    np.cumsum(flows[1:-1] @ lap, axis=0, out=tails[1:])
+    v = phi + grid.dt * tails[::-1]
+    return np.einsum("jkm,jk->jm", factors, v[:, : factors.shape[1]]), flows[-1]
+
+
 def sample_limit_states(factors, count, seed, stream_id, tag="limit"):
     """The clt limit sampler the shared ``_limit_states`` kernel replaced:
     one stream for every path, shape ``(count, steps+1, m)``."""

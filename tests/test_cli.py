@@ -577,9 +577,10 @@ def test_golden_calibration_ranks_match_path_built_oracle(name):
 
 
 def test_heat_with_a_wider_quadrature_builds_the_step_semigroup_once(monkeypatch):
-    """The config check asks for ``E(dt)`` on ``BasisSpec(N, Q)`` and the mild
-    solver on ``BasisSpec(N, 2N)``; neither reads ``Q``, so one ``expm`` of
-    ``dt L`` serves both."""
+    """The config's step check asks for ``E(dt)`` on ``BasisSpec(N, Q)``, and
+    nothing else in a heat run does: the mild solves and the calibration
+    weights go through the scan in the eigenbasis of ``Lap``.  So one ``expm``
+    of ``dt L`` is built, however wide the quadrature."""
     cfg = cli.load_config("heat-smoke")
     size = cfg["basis"]["N"]
     cfg["basis"] = {"N": size, "Q": 3 * size}

@@ -133,6 +133,17 @@ def test_initial_gaussian_rejects_nan(basis, spec, message):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [{"r": True}, {"r": 1.0, "scale": True}, {"r": 1.0, "scale": np.True_}, {"r": "1"}],
+    ids=["r-bool", "scale-bool", "scale-numpy-bool", "r-str"],
+)
+def test_initial_gaussian_rejects_non_numbers(basis, spec):
+    """``r=True`` drew as ``r = 1`` and ``scale=True`` read as 1.0."""
+    with pytest.raises(TypeError, match="must be a number, not"):
+        sample_initial("gaussian", basis, 0, **spec)
+
+
+@pytest.mark.parametrize(
     "eta",
     [{"kind": "zero"}, {"kind": "fixed-coeffs", "coeffs": list(np.linspace(1.0, -0.5, 16))}, {"kind": "gaussian", "r": 1.0}],
     ids=["zero", "fixed-coeffs", "gaussian"],
@@ -276,6 +287,47 @@ def test_mild_rejects_overflowing_start():
     eta[1] = 1e10
     with pytest.raises(NumericalIntegrityError, match="overflows"):
         mild_solution(np.zeros((grid.steps + 1, 6)), eta, grid)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mild_rejects_a_step_whose_exponents_overflow():
+    """At a huge finite step ``lam dt`` overflows to ``-inf``, and ``exp(-lam dt l)``
+    would read NaN at ``l = 0``: a numerical-integrity failure, without a
+    warning, where a step short of that solves."""
+    driver = np.zeros((2, 8))
+    sol = mild_solution(driver, np.ones(8), TimeGrid(1e307, 1))
+    assert np.array_equal(sol[0], np.ones(8)) and np.all(np.isfinite(sol))
+    for _ in range(2):  # nothing was cached by the first failure
+        with pytest.raises(NumericalIntegrityError, match="overflows the scan"):
+            mild_solution(driver, np.ones(8), TimeGrid(1.7e308, 1))
+
+
+@pytest.mark.parametrize(
+    "size, steps, horizon, chunks",
+    [
+        pytest.param(16, 40, 1.0, 1, id="one-chunk"),
+        # more than _CHUNK_ROWS steps: the scan runs in several chunks
+        pytest.param(16, 1200, 3.0, 3, id="several-chunks"),
+        # |lam_min| dt > 600: one step per chunk
+        pytest.param(8, 5, 400.0, 5, id="one-step-chunks"),
+        # Lap has a zero eigenvalue, and the parity blocks differ in size
+        pytest.param(17, 60, 1.0, 1, id="odd-N"),
+    ],
+)
+def test_terminal_weights_near_per_step_pade_flows(size, steps, horizon, chunks):
+    """The calibration weights from the mild scan's flows stay within 5e-14
+    of the largest weight built from a per-step Pade ``E(dt)`` loop, and
+    ``E(T) phi`` within 5e-14 of the largest entry of ``phi``."""
+    rng = np.random.default_rng(size + steps)
+    basis, grid = BasisSpec(size, 2 * size), TimeGrid(horizon, steps)
+    assert -(-steps // spde._scan_operators(size, grid.dt)[0]) == chunks  # the chunks the case claims
+    factors = rng.standard_normal((steps, size, 5))
+    phi = rng.standard_normal(size)
+    weights, flow = spde._terminal_weights(factors, basis, grid, phi)
+    want_weights, want_flow = oracles.terminal_weights_per_step(factors, basis, grid, phi)
+    assert weights.shape == want_weights.shape == (steps, 5)
+    assert np.max(np.abs(weights - want_weights)) <= 5e-14 * np.max(np.abs(want_weights))
+    assert np.max(np.abs(flow - want_flow)) <= 5e-14 * np.max(np.abs(phi))
 
 
 def test_zero_data_zero_solution(basis, grid):
